@@ -8,8 +8,6 @@ warm-up included), hence always in [0, 1].
 
 import numpy as np
 
-from ..core import best_so_far
-
 
 def auc(logs, n_iterations: int) -> dict:
     """Per-solver AUC mean and standard deviation.
@@ -34,19 +32,18 @@ def auc(logs, n_iterations: int) -> dict:
                 f"need at least {n_iterations}"
             )
 
-    all_values = np.concatenate(
-        [[rec.objective for rec in log.records] for log in logs]
-    )
+    all_values = np.concatenate([log.objectives for log in logs])
     f_min = float(all_values.min())
     f_max = float(all_values.max())
     if f_min == f_max:
         raise ValueError("all objectives identical; AUC scale is degenerate")
 
+    # One row per run: its best-so-far over the first n_iterations, normalised.
+    first = np.stack([log.objectives[:n_iterations] for log in logs])
+    normalised = (np.minimum.accumulate(first, axis=1) - f_max) / (f_min - f_max)
     per_solver: dict = {}
-    for log in logs:
-        bsf = best_so_far(log)[:n_iterations]
-        normalised = (bsf - f_max) / (f_min - f_max)
-        per_solver.setdefault(log.solver_id, []).append(float(normalised.mean()))
+    for log, score in zip(logs, normalised.mean(axis=1).tolist()):
+        per_solver.setdefault(log.solver_id, []).append(score)
     return {
         solver: (float(np.mean(vals)), float(np.std(vals)))
         for solver, vals in per_solver.items()

@@ -58,15 +58,21 @@ class ReplayGrid:
 
 
 def _run_arrays(log):
-    objectives = np.array([rec.objective for rec in log.records], dtype=float)
     solver_times = np.array([rec.solver_time for rec in log.records], dtype=float)
-    return objectives, solver_times
+    return log.objectives, solver_times
+
+
+def _finish_times(solver_times: np.ndarray, eval_time: float) -> np.ndarray:
+    return np.cumsum(solver_times + eval_time)
+
+
+def _completed(finish_times: np.ndarray, budget: float) -> int:
+    return int(np.searchsorted(finish_times, budget, side="right"))
 
 
 def replay_count(solver_times: np.ndarray, eval_time: float, budget: float) -> int:
     """Number of evaluations completed within the budget under re-timing."""
-    cumtime = np.cumsum(solver_times + eval_time)
-    return int(np.searchsorted(cumtime, budget, side="right"))
+    return _completed(_finish_times(solver_times, eval_time), budget)
 
 
 def replay(logs, budgets=None, eval_times=None) -> ReplayGrid:
@@ -88,17 +94,24 @@ def replay(logs, budgets=None, eval_times=None) -> ReplayGrid:
     for log in logs:
         by_solver.setdefault(log.solver_id, []).append(_run_arrays(log))
     solvers = tuple(sorted(by_solver))
+    # Each run's finish times under each evaluation cost, shared by every budget.
+    finish_times = [
+        {
+            solver: [_finish_times(solver_times, eval_time) for _, solver_times in runs]
+            for solver, runs in by_solver.items()
+        }
+        for eval_time in eval_times
+    ]
 
     cells = []
     for budget in budgets:
-        for eval_time in eval_times:
+        for eval_time, finish_by_solver in zip(eval_times, finish_times):
             means = {}
             defined = True
             for solver in solvers:
                 bests = []
-                for objectives, solver_times in by_solver[solver]:
-                    cumtime = np.cumsum(solver_times + eval_time)
-                    n = int(np.searchsorted(cumtime, budget, side="right"))
+                for (objectives, _), cumtime in zip(by_solver[solver], finish_by_solver[solver]):
+                    n = _completed(cumtime, budget)
                     if n == 0 or (n == objectives.size and cumtime[-1] < budget):
                         defined = False
                         break

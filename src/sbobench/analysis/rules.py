@@ -1,17 +1,17 @@
 """Decision rules extracted from replay grids via a small CART classifier.
 
-The classifier uses Gini impurity with axis-aligned midpoint splits and
-grows best-first (largest weighted impurity decrease first) under hard
-caps on leaf count and depth.  Zero-gain splits of impure nodes are
-allowed, so XOR-style label patterns can still be separated.
+The classifier is the CART core of ``surrogates.trees`` with a Gini
+criterion, grown best-first (largest weighted impurity decrease first)
+under hard caps on leaf count and depth.  Zero-gain splits of impure
+nodes are allowed, so XOR-style label patterns can still be separated.
 """
 
-import heapq
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..core import make_rng
+from ..surrogates.trees import LEAF, NodeArrays, grow
 from .replay import ReplayGrid
 
 FEATURE_NAMES = (
@@ -24,63 +24,34 @@ FEATURE_NAMES = (
 MAX_LEAVES = 6
 MAX_DEPTH = 5
 
-_LEAF = -1
 
+@dataclass(frozen=True, eq=False)
+class RulesTree(NodeArrays):
+    """Decision tree over numeric features with string labels.
 
-@dataclass(frozen=True)
-class RulesTree:
-    """Flat-array decision tree over numeric features with string labels.
-
-    ``feature[k] == -1`` marks node k as a leaf; internal nodes route
-    x[feature] <= threshold to ``left`` and the rest to ``right``.
     ``label_index`` holds the majority label of every node, so each
     node can act as a leaf for rendering purposes.
     """
 
-    feature: np.ndarray
-    threshold: np.ndarray
-    left: np.ndarray
-    right: np.ndarray
     label_index: np.ndarray
     labels: tuple
     feature_names: tuple = FEATURE_NAMES
 
-    @property
-    def n_nodes(self) -> int:
-        return self.feature.size
-
-    @property
-    def n_leaves(self) -> int:
-        return int(np.count_nonzero(self.feature == _LEAF))
-
-    def depth(self) -> int:
-        depths = np.zeros(self.n_nodes, dtype=int)
-        for node in range(self.n_nodes):  # parents precede children
-            if self.feature[node] != _LEAF:
-                depths[self.left[node]] = depths[node] + 1
-                depths[self.right[node]] = depths[node] + 1
-        return int(depths.max())
+    _DTYPES = NodeArrays._DTYPES + (("label_index", int),)
 
     def predict_one(self, x) -> str:
-        x = np.asarray(x, dtype=float)
-        node = 0
-        while self.feature[node] != _LEAF:
-            if x[self.feature[node]] <= self.threshold[node]:
-                node = self.left[node]
-            else:
-                node = self.right[node]
-        return self.labels[self.label_index[node]]
+        return self.predict([x])[0]
 
     def predict(self, X) -> np.ndarray:
-        X = np.asarray(X, dtype=float)
-        return np.array([self.predict_one(row) for row in X], dtype=object)
+        labels = np.array(self.labels, dtype=object)
+        return labels[self.label_index[self.apply(X)]]
 
     def accuracy(self, X, y) -> float:
         y = np.asarray(y, dtype=object)
         return float(np.mean(self.predict(X) == y))
 
     def to_jsonable(self, node: int = 0) -> dict:
-        if self.feature[node] == _LEAF:
+        if self.feature[node] == LEAF:
             return {"label": self.labels[self.label_index[node]]}
         return {
             "feature": self.feature_names[self.feature[node]],
@@ -91,140 +62,59 @@ class RulesTree:
 
     def text_rules(self) -> tuple:
         """One human-readable rule per leaf, in left-to-right order."""
-        rules = []
 
         def walk(node, conditions):
-            if self.feature[node] == _LEAF:
-                label = self.labels[self.label_index[node]]
-                if conditions:
-                    rules.append(f"if {' and '.join(conditions)} then use {label}")
-                else:
-                    rules.append(f"always use {label}")
-                return
-            name = self.feature_names[self.feature[node]]
-            value = self.threshold[node]
-            walk(self.left[node], conditions + [f"{name} <= {value:g}"])
-            walk(self.right[node], conditions + [f"{name} > {value:g}"])
+            if self.feature[node] == LEAF:
+                when = f"if {' and '.join(conditions)} then" if conditions else "always"
+                return [f"{when} use {self.labels[self.label_index[node]]}"]
+            name, value = self.feature_names[self.feature[node]], self.threshold[node]
+            left = walk(self.left[node], conditions + [f"{name} <= {value:g}"])
+            return left + walk(self.right[node], conditions + [f"{name} > {value:g}"])
 
-        walk(0, [])
-        return tuple(rules)
+        return tuple(walk(0, []))
 
 
-def _gini(counts: np.ndarray) -> float:
-    n = counts.sum()
-    if n == 0:
-        return 0.0
-    p = counts / n
-    return float(1.0 - np.sum(p * p))
-
-
-def _gini_rows(counts: np.ndarray, totals: np.ndarray) -> np.ndarray:
-    """``_gini`` over the last axis of ``counts``, given nonzero row totals."""
-    p = counts / totals[..., None]
+def _impurity(counts, totals):
+    """Gini impurity of each class-count vector (last axis) with nonzero totals."""
+    p = counts / totals
     return 1.0 - np.sum(p * p, axis=-1)
 
 
-def _best_split(X, y_idx, indices, n_labels):
-    """Largest weighted-impurity-decrease split of one node, or None.
-
-    Returns (gain, feature, threshold) with ties broken towards the
-    lowest feature index, then the lowest threshold.  Every feature and
-    threshold is scored at once from running one-hot class counts over
-    each sorted column.
-    """
-    n = indices.size
-    labels = y_idx[indices]
-    parent_counts = np.bincount(labels, minlength=n_labels)
-    parent_term = n * _gini(parent_counts)
-    values = X[indices]
-    order = values.argsort(axis=0, kind="stable")
-    sorted_values = values[order, np.arange(values.shape[1])]
-    onehot = labels[order][:, :, None] == np.arange(n_labels)
-    # Class counts left of the split after sorted row i: (n - 1, features, labels).
-    left_counts = onehot.cumsum(axis=0)[:-1].astype(float)
-    right_counts = parent_counts - left_counts
-    n_left = np.arange(1, n, dtype=float)[:, None]
+def gini_cost(sums, n_left, n):
+    """Negated decrease in row-weighted Gini impurity, from running class counts."""
+    counts = np.stack(sums, axis=-1)  # (rows, features, labels)
+    left = counts[:-1].astype(float)
+    right = counts[-1] - left
     gain = (
-        parent_term
-        - n_left * _gini_rows(left_counts, n_left)
-        - (n - n_left) * _gini_rows(right_counts, n - n_left)
+        n * _impurity(counts[-1, 0], n)  # the node's class counts, read off feature 0
+        - n_left * _impurity(left, n_left[..., None])
+        - (n - n_left) * _impurity(right, (n - n_left)[..., None])
     )
-    valid = sorted_values[:-1] != sorted_values[1:]
-    if not valid.any():
-        return None
-    gain = np.where(valid, gain, -np.inf)
-    j, i = divmod(int(gain.T.argmax()), n - 1)
-    threshold = 0.5 * (sorted_values[i, j] + sorted_values[i + 1, j])
-    return float(gain[i, j]), j, float(threshold)
+    return -gain
 
 
-def grow_tree(X, y, max_leaves: int = MAX_LEAVES, max_depth: int = MAX_DEPTH) -> RulesTree:
-    """Best-first CART classification tree with leaf and depth caps."""
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=object)
+def _majority(y):
+    return int(np.bincount(y).argmax())
+
+
+def _labelled(features, labels):
+    X = np.asarray(features, dtype=float)
+    y = np.asarray(labels, dtype=object)
     if X.ndim != 2 or X.shape[0] != y.size:
         raise ValueError("features must be (n, f) with one label per row")
     if y.size == 0:
         raise ValueError("no labelled rows supplied")
-    labels = tuple(sorted(set(y.tolist())))
-    label_of = {label: i for i, label in enumerate(labels)}
-    y_idx = np.array([label_of[v] for v in y], dtype=int)
+    return X, y
 
-    feature = [_LEAF]
-    threshold = [0.0]
-    left = [_LEAF]
-    right = [_LEAF]
-    label_index = [int(np.bincount(y_idx).argmax())]
-    depth_of = [0]
-    n_leaves = 1
 
-    heap = []
-    counter = 0
-
-    def consider(node, indices):
-        nonlocal counter
-        if depth_of[node] >= max_depth:
-            return
-        counts = np.bincount(y_idx[indices], minlength=len(labels))
-        if _gini(counts) == 0.0:
-            return
-        split = _best_split(X, y_idx, indices, len(labels))
-        if split is None:
-            return
-        gain, feat, thr = split
-        heapq.heappush(heap, (-gain, counter, node, feat, thr, indices))
-        counter += 1
-
-    all_indices = np.arange(y.size)
-    consider(0, all_indices)
-    while heap and n_leaves < max_leaves:
-        _, _, node, feat, thr, indices = heapq.heappop(heap)
-        mask = X[indices, feat] <= thr
-        for child_indices in (indices[mask], indices[~mask]):
-            counts = np.bincount(y_idx[child_indices], minlength=len(labels))
-            feature.append(_LEAF)
-            threshold.append(0.0)
-            left.append(_LEAF)
-            right.append(_LEAF)
-            label_index.append(int(counts.argmax()))
-            depth_of.append(depth_of[node] + 1)
-        left_child, right_child = len(feature) - 2, len(feature) - 1
-        feature[node] = feat
-        threshold[node] = thr
-        left[node] = left_child
-        right[node] = right_child
-        n_leaves += 1
-        consider(left_child, indices[mask])
-        consider(right_child, indices[~mask])
-
-    return RulesTree(
-        feature=np.array(feature, dtype=int),
-        threshold=np.array(threshold, dtype=float),
-        left=np.array(left, dtype=int),
-        right=np.array(right, dtype=int),
-        label_index=np.array(label_index, dtype=int),
-        labels=labels,
-    )
+def grow_tree(X, y, max_leaves: int = MAX_LEAVES, max_depth: int = MAX_DEPTH) -> RulesTree:
+    """Best-first CART classification tree with leaf and depth caps."""
+    X, y = _labelled(X, y)
+    labels, y_idx = np.unique(y, return_inverse=True)
+    one_hot = [y_idx == i for i in range(labels.size)]
+    nodes = grow(X, y_idx, one_hot, gini_cost, _majority, max_depth=max_depth,
+                 max_leaves=max_leaves)
+    return RulesTree(*nodes, labels=tuple(labels.tolist()))
 
 
 def rule_dataset(grids: dict, traits: dict):
@@ -273,15 +163,9 @@ def fit_rules_tree(
     (tree, train_accuracy, test_accuracy).  A single-label dataset
     short-circuits to a depth-0 tree with both accuracies 1.0.
     """
-    X = np.asarray(features, dtype=float)
-    y = np.asarray(labels, dtype=object)
-    if X.ndim != 2 or X.shape[0] != y.size:
-        raise ValueError("features must be (n, f) with one label per row")
-    if y.size == 0:
-        raise ValueError("no labelled rows supplied")
+    X, y = _labelled(features, labels)
     if len(set(y.tolist())) == 1:
-        tree = grow_tree(X[:1], y[:1], max_leaves=max_leaves, max_depth=max_depth)
-        return tree, 1.0, 1.0
+        return grow_tree(X[:1], y[:1], max_leaves=max_leaves, max_depth=max_depth), 1.0, 1.0
 
     rng = make_rng(split_seed)
     n = y.size

@@ -2,6 +2,7 @@
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Mapping
 
 import numpy as np
@@ -77,10 +78,17 @@ class RunLog:
     def empty(self) -> bool:
         return len(self.records) == 0
 
+    @cached_property
+    def objectives(self) -> np.ndarray:
+        """Read-only objective of every record, read off the records once per log."""
+        values = np.fromiter((r.objective for r in self.records), dtype=float,
+                             count=len(self.records))
+        values.flags.writeable = False
+        return values
+
 
 def best_so_far(log: RunLog) -> np.ndarray:
     """Running minimum of the objectives, one entry per iteration."""
     if not log.records:
         raise ValueError("run log has no records")
-    objectives = np.array([r.objective for r in log.records], dtype=float)
-    return np.minimum.accumulate(objectives)
+    return np.minimum.accumulate(log.objectives)

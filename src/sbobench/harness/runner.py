@@ -12,9 +12,9 @@ call (model refit and acquisition together).  The stop rules are:
 In real mode the clock is the monotonic wall clock and ``eval_time`` is
 the measured evaluation duration.  In virtual mode the clock is
 simulated: it advances by the problem's reported (deterministic)
-eval_time plus the measured solver overhead, while the *recorded*
-solver_time is 0.0 so that rerunning a configuration yields
-byte-identical CSV files.
+eval_time only, and the *recorded* solver_time is 0.0, so that
+rerunning a configuration, budget included, yields byte-identical CSV
+files on any machine.
 
 An :class:`EvaluationError` (external command failed) aborts the run:
 the partial log is kept, flagged ``aborted``, with the diagnostic in
@@ -68,7 +68,7 @@ def run_single(problem, solver, max_eval, rand_init, seed,
         observe_time = time.perf_counter() - tick
 
         overhead = suggest_time + observe_time
-        virtual_clock += eval_time + overhead
+        virtual_clock += eval_time
         iteration = len(records) + 1
         records.append(EvaluationRecord(
             iteration=iteration,
@@ -99,12 +99,13 @@ def run_experiment(cfg: ExperimentConfig):
     """Run every (solver, repetition) pair and write one log per run.
 
     Returns the list of CSV paths in (solver, repetition) order.  Runs
-    are independent; with ``jobs > 1`` they execute on a thread pool,
-    which overlaps runs whose problems wait on subprocesses or sleeps.
+    are independent: each builds its own problem, whose noise stream is
+    keyed by (solver, repetition), so a run's log does not depend on
+    which other runs are in the experiment or on their scheduling.  With
+    ``jobs > 1`` they execute on a thread pool, which overlaps runs
+    whose problems wait on subprocesses or sleeps.
     """
     problem_seed = derive_seed(cfg.base_seed, "problem", cfg.problem)
-    problem = make_problem(cfg.problem, seed=problem_seed,
-                           **dict(cfg.problem_params))
     out_dir = Path(cfg.out_path)
     out_dir.mkdir(parents=True, exist_ok=True)
     header = {
@@ -118,6 +119,9 @@ def run_experiment(cfg: ExperimentConfig):
     def one(task):
         kind, repetition = task
         seed = derive_seed(cfg.base_seed, kind, repetition)
+        problem = make_problem(cfg.problem, seed=problem_seed,
+                               **dict(cfg.problem_params))
+        problem.seed_noise(derive_seed(cfg.base_seed, "noise", kind, repetition))
         solver_overrides = dict(cfg.overrides.get(kind, {}))
         solver = make_solver(kind, problem.space, R=cfg.rand_init, seed=seed,
                              overrides=solver_overrides)

@@ -28,8 +28,9 @@ class Problem:
     Subclasses implement `_objective(point) -> float` and may override
     `_simulated_cost(point)` (default 0.0).  An optional Gaussian noise
     model adds eps ~ N(0, noise_sigma^2) to every returned objective,
-    drawn from a problem-owned stream; it is disabled by default so
-    problems are deterministic functions of the point.
+    drawn from a problem-owned stream (see :meth:`seed_noise`); it is
+    disabled by default so problems are deterministic functions of the
+    point.
     """
 
     def __init__(self, problem_id, space, known_optimum=None,
@@ -40,10 +41,13 @@ class Problem:
         self.space = space
         self.known_optimum = known_optimum
         self.noise_sigma = float(noise_sigma)
-        self._noise_rng = (
-            make_rng(derive_seed(noise_seed, "noise", self.id))
-            if noise_sigma > 0 else None
-        )
+        self._noise_rng = None
+        self.seed_noise(derive_seed(noise_seed, "noise", self.id))
+
+    def seed_noise(self, seed: int) -> None:
+        """Restart the noise stream from ``seed``; a no-op without noise."""
+        if self.noise_sigma > 0:
+            self._noise_rng = make_rng(seed)
 
     def _objective(self, point) -> float:
         raise NotImplementedError

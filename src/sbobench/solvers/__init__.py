@@ -2,7 +2,7 @@
 
 from .acquisition import DEFAULT_BETA, ucb_score
 from .base import Solver
-from .factory import adapt_solver, available_solvers, canonical_kind, make_solver
+from .factory import available_solvers, canonical_kind, make_solver
 from .forest_ucb import ForestUcbSolver
 from .gp_ucb import GpUcbSolver
 from .pwl import PwlHighExploreSolver, PwlLowExploreSolver, PwlSolver
@@ -13,7 +13,6 @@ __all__ = [
     "DEFAULT_BETA",
     "ucb_score",
     "Solver",
-    "adapt_solver",
     "available_solvers",
     "canonical_kind",
     "make_solver",

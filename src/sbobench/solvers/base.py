@@ -11,8 +11,9 @@ every later observation.
 Acquisition happens in the encoded box (ordinal indices for categorical
 variables).  Suggested vectors are decoded with ``nearest_point``, which
 clamps and rounds to the closest valid point; on purely continuous
-spaces that is just a clamp.  Continuous-native solvers refuse mixed
-spaces unless the ``round_continuous`` adapter enabled rounding.
+spaces that is just a clamp.  So every solver runs on mixed spaces:
+continuous-native ones search the relaxed box, and their suggestions
+are rounded to valid values.
 
 For auditability each model-based solver records ``last_proposal`` — the
 candidate set, model means/variances, acquisition scores, and the chosen
@@ -27,35 +28,24 @@ from ..core import sample_uniform
 from ..core.rng import derive_seed, make_rng
 from ..surrogates.encoding import encode, encoded_bounds, nearest_point
 
-CONTINUOUS_ONLY = frozenset(["continuous"])
-ALL_KINDS = frozenset(["continuous", "integer", "categorical"])
-
 
 class Solver:
     """Base class holding loop state shared by every solver kind."""
 
     kind = "base"
-    native_kinds = ALL_KINDS
 
-    def __init__(self, space, R, seed, round_discrete=False):
+    def __init__(self, space, R, seed):
         if R < 1:
             raise ValueError("R (random warm-up count) must be at least 1")
         self.space = space
         self.R = int(R)
         self.seed = int(seed)
         self.rng = make_rng(seed)
-        self.round_discrete = bool(round_discrete)
         self.history: list = []
         self._encoded_rows: list = []  # encode(point) per history entry
         self.model = None
         self.last_proposal: dict | None = None
         self._pending = None
-        kinds = {v.kind for v in space.variables}
-        if not kinds <= self.native_kinds and not self.round_discrete:
-            raise ValueError(
-                f"{self.kind} handles only {sorted(self.native_kinds)} variables "
-                "natively; wrap it with the round_continuous adapter"
-            )
         self._lo, self._hi = encoded_bounds(space)
 
     @property

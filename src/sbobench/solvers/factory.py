@@ -1,4 +1,4 @@
-"""Solver construction by stable identifier, plus the rounding adapter."""
+"""Solver construction by stable identifier."""
 
 from .base import Solver
 from .forest_ucb import ForestUcbSolver
@@ -44,34 +44,9 @@ def canonical_kind(kind: str) -> str:
 
 def make_solver(kind: str, space, R: int, seed: int,
                 overrides: dict | None = None) -> Solver:
-    """Build a solver; continuous-native kinds get rounding on mixed spaces.
+    """Build a solver by kind.
 
     `overrides` maps constructor parameter names to values (the CLI
     feeds parsed `kind.param=value` pairs through here).
     """
-    cls = _BY_KIND[canonical_kind(kind)]
-    kwargs = dict(overrides or {})
-    kinds = {v.kind for v in space.variables}
-    if not kinds <= cls.native_kinds:
-        kwargs.setdefault("round_discrete", True)
-    return cls(space, R, seed, **kwargs)
-
-
-def adapt_solver(solver: Solver, adapter: str) -> Solver:
-    """Apply a variable-type adapter to an existing solver.
-
-    ``round_continuous`` lets a continuous-native solver run on integer
-    and categorical variables by relaxing them to their encoded real
-    ranges internally and rounding every suggestion to the nearest valid
-    value.  ``none`` is the identity.
-    """
-    if adapter == "none":
-        return solver
-    if adapter == "round_continuous":
-        if solver.native_kinds != frozenset(["continuous"]):
-            raise ValueError(
-                "round_continuous applies only to continuous-native solvers"
-            )
-        solver.round_discrete = True
-        return solver
-    raise KeyError(f"unknown adapter {adapter!r}")
+    return _BY_KIND[canonical_kind(kind)](space, R, seed, **dict(overrides or {}))

@@ -1,7 +1,7 @@
 """Random-forest surrogate with confidence-bound scoring on candidates.
 
 The forest handles every variable kind natively (splits are thresholds
-on encoded indices), so no rounding adapter is needed.  Acquisition
+on encoded indices), and its candidates are valid points.  Acquisition
 scores a deterministic candidate set: 256 uniform samples plus 256
 single-variable mutations spread over the best four incumbents, picking
 the score maximiser with ties going to the lowest candidate index.
@@ -13,17 +13,16 @@ from ..core import sample_uniform
 from ..surrogates.encoding import encode_points
 from ..surrogates.forest import fit_forest
 from .acquisition import DEFAULT_BETA, ucb_score
-from .base import ALL_KINDS, Solver
+from .base import Solver
 
 
 class ForestUcbSolver(Solver):
     kind = "forest-ucb"
-    native_kinds = ALL_KINDS
 
-    def __init__(self, space, R, seed, round_discrete=False, beta=DEFAULT_BETA,
+    def __init__(self, space, R, seed, beta=DEFAULT_BETA,
                  n_trees=24, uniform_candidates=256, mutations=256,
                  elites=4):
-        super().__init__(space, R, seed, round_discrete)
+        super().__init__(space, R, seed)
         self.beta = float(beta)
         self.n_trees = int(n_trees)
         self.uniform_candidates = int(uniform_candidates)

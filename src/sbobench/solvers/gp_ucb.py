@@ -26,17 +26,16 @@ from ..surrogates.gp import (
     optimise_hyperparameters,
 )
 from .acquisition import DEFAULT_BETA, ucb_score
-from .base import CONTINUOUS_ONLY, Solver
+from .base import Solver
 
 
 class GpUcbSolver(Solver):
     kind = "gp-ucb"
-    native_kinds = CONTINUOUS_ONLY
 
-    def __init__(self, space, R, seed, round_discrete=False, beta=DEFAULT_BETA,
+    def __init__(self, space, R, seed, beta=DEFAULT_BETA,
                  candidates=512, refine=16, refine_steps=50,
                  hyper_interval=20, multistarts=4, steps=100):
-        super().__init__(space, R, seed, round_discrete)
+        super().__init__(space, R, seed)
         self.beta = float(beta)
         self.n_candidates = int(candidates)
         self.n_refine = int(refine)

@@ -14,16 +14,15 @@ down; continuous ones add Gaussian noise with a tenth of the range.
 import numpy as np
 
 from ..surrogates.least_squares import fit_least_squares
-from .base import CONTINUOUS_ONLY, Solver
+from .base import Solver
 
 
 class PwlSolver(Solver):
-    native_kinds = CONTINUOUS_ONLY
     factor = 1.0
 
-    def __init__(self, space, R, seed, round_discrete=False, n_basis=None,
+    def __init__(self, space, R, seed, n_basis=None,
                  ridge=1e-6, sweeps=2, grid=17, factor=None):
-        super().__init__(space, R, seed, round_discrete)
+        super().__init__(space, R, seed)
         if factor is not None:
             self.factor = float(factor)
         if n_basis is None:

@@ -1,12 +1,11 @@
 """Uniform random search: the baseline every solver is normalised against."""
 
 from ..core import sample_uniform
-from .base import ALL_KINDS, Solver
+from .base import Solver
 
 
 class RandomSearchSolver(Solver):
     kind = "randomsearch"
-    native_kinds = ALL_KINDS
 
     def _acquire(self):
         # No model, ever: every iteration is a fresh uniform sample.

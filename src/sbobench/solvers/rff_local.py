@@ -13,17 +13,16 @@ method's local optimiser is unspecified.)
 import numpy as np
 
 from ..surrogates.least_squares import fit_least_squares
-from .base import CONTINUOUS_ONLY, Solver
+from .base import Solver
 
 
 class RffLocalSolver(Solver):
     kind = "rff-local"
-    native_kinds = CONTINUOUS_ONLY
 
-    def __init__(self, space, R, seed, round_discrete=False, n_basis=500,
+    def __init__(self, space, R, seed, n_basis=500,
                  ridge=1e-6, starts=8, descent_steps=100,
                  jitter_scale=0.1, explore_scale=0.02):
-        super().__init__(space, R, seed, round_discrete)
+        super().__init__(space, R, seed)
         self.n_basis = int(n_basis)
         self.ridge = float(ridge)
         self.starts = int(starts)

@@ -56,14 +56,12 @@ def fit_boosted(
     n_rounds: int = 100,
     learning_rate: float = 0.3,
     max_depth: int = 6,
-    seed: int = 0,
 ) -> BoostedTreesModel:
     """Fit residuals stagewise with depth-limited trees.
 
     Starts from the target mean; each round fits one tree to the current
     residuals and adds it scaled by ``learning_rate``.  Tree growth is
-    fully deterministic, so ``seed`` only exists for interface symmetry
-    with the other families.
+    fully deterministic, so the fit takes no seed.
     """
     if len(data) < 2:
         raise ValueError("boosting needs at least two pairs")

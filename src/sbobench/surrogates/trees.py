@@ -1,110 +1,169 @@
-"""Axis-aligned regression trees used by the forest and boosting models.
+"""One CART core (Breiman et al., 1984): the squared-error trees of the
+forest and boosting models and the Gini classifier of ``analysis.rules``.
 
-Splits minimise the summed squared error of the two children; candidate
-thresholds are midpoints between consecutive distinct sorted feature
-values.  Ties are broken deterministically by (feature index, threshold)
-so a tree is a pure function of its inputs.  Trees are stored as flat
-node arrays to keep serialisation trivial.
+Splits are axis-aligned at midpoints between consecutive distinct values;
+ties go to the lowest feature, then the lowest threshold, so a tree is a
+pure function of its inputs.  Flat node arrays keep serialisation trivial.
 """
+
+import heapq
+from dataclasses import dataclass
 
 import numpy as np
 
-_LEAF = -1
+LEAF = -1
 
 
-class RegressionTree:
-    """Flat-array binary tree: leaves hold the mean target of their node."""
+@dataclass(frozen=True, eq=False)
+class NodeArrays:
+    """Flat binary tree.
 
-    def __init__(self, feature, threshold, left, right, value):
-        self.feature = np.asarray(feature, dtype=int)
-        self.threshold = np.asarray(threshold, dtype=float)
-        self.left = np.asarray(left, dtype=int)
-        self.right = np.asarray(right, dtype=int)
-        self.value = np.asarray(value, dtype=float)
+    ``feature[k] == -1`` marks node k as a leaf; an internal node sends
+    rows with ``x[feature] <= threshold`` to ``left``, the rest to ``right``.
+    """
+
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+
+    _DTYPES = (("feature", int), ("threshold", float), ("left", int), ("right", int))
+
+    def __post_init__(self):
+        for name, dtype in self._DTYPES:
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=dtype))
 
     @property
     def n_nodes(self) -> int:
         return self.feature.size
 
+    @property
+    def n_leaves(self) -> int:
+        return int(np.count_nonzero(self.feature == LEAF))
+
     def depth(self) -> int:
         """Length of the longest root-to-leaf path (0 for a bare leaf)."""
-        depths = np.zeros(self.n_nodes, dtype=int)
-        for node in range(self.n_nodes):  # parents precede children
-            if self.feature[node] != _LEAF:
-                depths[self.left[node]] = depths[node] + 1
-                depths[self.right[node]] = depths[node] + 1
-        return int(depths.max())
+        depth, level = 0, np.zeros(1, dtype=int)
+        while (level := level[self.feature[level] != LEAF]).size:
+            level = np.concatenate((self.left[level], self.right[level]))
+            depth += 1
+        return depth
 
-    def predict(self, X: np.ndarray) -> np.ndarray:
+    def apply(self, X) -> np.ndarray:
+        """Index of the leaf each row of X reaches, all rows routed at once."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
         idx = np.zeros(X.shape[0], dtype=int)
-        active = self.feature[idx] != _LEAF
-        while active.any():
-            rows = np.where(active)[0]
+        while (rows := np.flatnonzero(self.feature[idx] != LEAF)).size:
             nodes = idx[rows]
             go_left = X[rows, self.feature[nodes]] <= self.threshold[nodes]
             idx[rows] = np.where(go_left, self.left[nodes], self.right[nodes])
-            active = self.feature[idx] != _LEAF
-        return self.value[idx]
+        return idx
+
+
+@dataclass(frozen=True, eq=False)
+class RegressionTree(NodeArrays):
+    """Regression tree whose nodes hold the mean target of their rows."""
+
+    value: np.ndarray
+
+    _DTYPES = NodeArrays._DTYPES + (("value", float),)
+
+    def predict(self, X: np.ndarray) -> np.ndarray:
+        return self.value[self.apply(X)]
 
     def to_jsonable(self) -> dict:
-        return {
-            "feature": self.feature.tolist(),
-            "threshold": self.threshold.tolist(),
-            "left": self.left.tolist(),
-            "right": self.right.tolist(),
-            "value": self.value.tolist(),
-        }
+        return {name: getattr(self, name).tolist() for name, _ in self._DTYPES}
 
     @classmethod
     def from_jsonable(cls, payload: dict) -> "RegressionTree":
-        return cls(
-            payload["feature"],
-            payload["threshold"],
-            payload["left"],
-            payload["right"],
-            payload["value"],
-        )
+        return cls(*(payload[name] for name, _ in cls._DTYPES))
 
 
-def _best_split(X, y, min_leaf):
-    """Best (sse, feature, threshold) over all axis splits, or None.
+def sse_cost(sums, n_left, n):
+    """Summed squared error of both children, from running sums of y and y**2."""
+    csum, csum2 = sums
+    left_sum = csum[:-1]
+    left_sse = csum2[:-1] - left_sum**2 / n_left
+    right_sum = csum[-1] - left_sum
+    right_sse = (csum2[-1] - csum2[:-1]) - right_sum**2 / (n - n_left)
+    return left_sse + right_sse
 
-    All features are scanned at once: each column is sorted, the
-    running sums of y and y^2 give both children's SSE after every
-    position, and one arg-min over the (feature, position) grid picks
-    the split, so ties go to the lowest feature, then the lowest
-    threshold.
+
+def _mean(y):
+    return float(y.sum() / y.size)  # == y.mean(), without its wrapper cost
+
+
+def best_split(X, stats, cost, min_leaf=1):
+    """Lowest-cost axis split of the rows of X as (cost, feature, threshold), or None.
+
+    Every column is sorted once and each per-row statistic in ``stats``
+    is summed down every sorted column; ``cost(sums, n_left, n)`` turns
+    those running sums into the cost of a split after each position.
+    One arg-min over the (feature, position) grid picks the split, so
+    ties go to the lowest feature, then the lowest threshold.  Both
+    children must keep at least ``min_leaf`` rows.
     """
     n = X.shape[0]
     if n < 2:
         return None
     order = X.argsort(axis=0, kind="stable")
     xs = X[order, np.arange(X.shape[1])]
-    ys = y[order]
-    csum = ys.cumsum(axis=0)
-    csum2 = (ys * ys).cumsum(axis=0)
-    total, total2 = csum[-1], csum2[-1]
-    # Split after row i (1-based count on the left), one column per feature.
-    counts = np.arange(1, n)[:, None]
-    left_sum = csum[:-1]
-    left_sse = csum2[:-1] - left_sum**2 / counts
-    right_sum = total - left_sum
-    right_sse = (total2 - csum2[:-1]) - right_sum**2 / (n - counts)
-    valid = (xs[:-1] != xs[1:]) & (counts >= min_leaf) & ((n - counts) >= min_leaf)
-    sse = np.where(valid, left_sse + right_sse, np.inf)
-    f, i = divmod(int(sse.T.argmin()), n - 1)
+    sums = [s[order].cumsum(axis=0) for s in stats]
+    # Split after sorted row i: n_left = i + 1 rows go left, one column per feature.
+    n_left = np.arange(1, n)[:, None]
+    valid = xs[:-1] != xs[1:]
+    if min_leaf > 1:
+        valid[: min_leaf - 1] = False
+        valid[n - min_leaf :] = False
+    scores = np.where(valid, cost(sums, n_left, n), np.inf)
+    f, i = divmod(int(scores.T.argmin()), n - 1)
     if not valid[i, f]:
         return None
-    return float(sse[i, f]), f, float((xs[i, f] + xs[i + 1, f]) / 2.0)
+    return float(scores[i, f]), f, float((xs[i, f] + xs[i + 1, f]) / 2.0)
 
 
-def build_regression_tree(
-    X: np.ndarray,
-    y: np.ndarray,
-    min_leaf: int = 1,
-    max_depth: int | None = None,
-) -> RegressionTree:
+def grow(X, y, stats, cost, value, min_leaf=1, max_depth=None, max_leaves=None):
+    """Grow best-first, lowest split cost first; return node arrays and values.
+
+    ``cost`` scores splits from the per-row ``stats`` of targets ``y``;
+    each node stores ``value(y[rows])``.  A node stays a leaf with fewer
+    than ``2 * min_leaf`` rows, equal targets, at ``max_depth``, or with
+    no valid split.  Growth stops at ``max_leaves`` leaves; without that
+    cap the growth order does not change the partition.
+    """
+    nodes, values, heap = [], [], []
+
+    def add(rows, depth):
+        node = len(nodes)
+        nodes.append([LEAF, 0.0, LEAF, LEAF])
+        ys = y[rows]
+        values.append(value(ys))
+        if (
+            rows.size >= 2 * min_leaf
+            and (ys != ys[0]).any()
+            and (max_depth is None or depth < max_depth)
+        ):
+            node_X = X[rows]
+            split = best_split(node_X, [s[rows] for s in stats], cost, min_leaf)
+            if split is not None:
+                score, f, thr = split
+                # Node ids grow with every push, so equal costs pop first-pushed first.
+                heapq.heappush(heap, (score, node, f, thr, rows, node_X[:, f] <= thr, depth))
+        return node
+
+    add(np.arange(X.shape[0]), 0)
+    n_leaves = 1
+    while heap and (max_leaves is None or n_leaves < max_leaves):
+        _, node, f, thr, rows, mask, depth = heapq.heappop(heap)
+        nodes[node][:2] = f, thr
+        nodes[node][2] = add(rows[mask], depth + 1)
+        nodes[node][3] = add(rows[~mask], depth + 1)
+        n_leaves += 1
+    return (*zip(*nodes), values)
+
+
+def build_regression_tree(X: np.ndarray, y: np.ndarray, min_leaf: int = 1,
+                          max_depth: int | None = None) -> RegressionTree:
     """Grow a deterministic squared-error tree to purity or the caps."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -112,38 +171,4 @@ def build_regression_tree(
         raise ValueError("X must be (n, d) with matching targets")
     if min_leaf < 1:
         raise ValueError("min_leaf must be at least 1")
-
-    feature, threshold, left, right, value = [], [], [], [], []
-
-    def new_node():
-        feature.append(_LEAF)
-        threshold.append(0.0)
-        left.append(_LEAF)
-        right.append(_LEAF)
-        value.append(0.0)
-        return len(feature) - 1
-
-    stack = [(new_node(), np.arange(X.shape[0]), 0)]
-    while stack:
-        node, rows, depth = stack.pop()
-        ys = y[rows]
-        value[node] = float(ys.sum() / ys.size)  # == ys.mean(), without its wrapper cost
-        if (
-            rows.size < 2 * min_leaf
-            or (ys == ys[0]).all()
-            or (max_depth is not None and depth >= max_depth)
-        ):
-            continue
-        split = _best_split(X[rows], ys, min_leaf)
-        if split is None:
-            continue
-        _, f, thr = split
-        mask = X[rows, f] <= thr
-        feature[node] = f
-        threshold[node] = thr
-        l_id, r_id = new_node(), new_node()
-        left[node], right[node] = l_id, r_id
-        stack.append((r_id, rows[~mask], depth + 1))
-        stack.append((l_id, rows[mask], depth + 1))
-
-    return RegressionTree(feature, threshold, left, right, value)
+    return RegressionTree(*grow(X, y, (y, y * y), sse_cost, _mean, min_leaf, max_depth))

@@ -254,6 +254,19 @@ class TestAuc:
         assert scores["randomsearch"][0] == pytest.approx(0.0)
         assert scores["gp-ucb"][0] == pytest.approx(0.5)
 
+    def test_matches_per_run_loop_exactly(self):
+        rng = make_rng(29)
+        logs = [make_log(rng.normal(size=int(rng.integers(12, 40))), solver_id=solver)
+                for solver in ("randomsearch", "gp-ucb", "forest-ucb") for _ in range(4)]
+        f_min = min(min(r.objective for r in log.records) for log in logs)
+        f_max = max(max(r.objective for r in log.records) for log in logs)
+        expected = {}
+        for log in logs:
+            curve = (best_so_far(log)[:12] - f_max) / (f_min - f_max)
+            expected.setdefault(log.solver_id, []).append(float(curve.mean()))
+        assert auc(logs, n_iterations=12) == {
+            solver: (float(np.mean(v)), float(np.std(v))) for solver, v in expected.items()}
+
     def test_short_log_rejected(self):
         with pytest.raises(ValueError, match="records"):
             auc([make_log([1.0, 2.0])], n_iterations=3)

@@ -6,7 +6,7 @@ import pytest
 from sbobench.core import SearchSpace, VariableSpec, make_rng, sample_uniform
 from sbobench.surrogates import fit_forest, load_model, mae
 from sbobench.surrogates.encoding import encode_points
-from sbobench.surrogates.trees import build_regression_tree
+from sbobench.surrogates.trees import RegressionTree, build_regression_tree
 
 
 @pytest.fixture
@@ -40,6 +40,22 @@ class TestRegressionTree:
         tree = build_regression_tree(X, y)
         assert tree.n_nodes == 1
         np.testing.assert_array_equal(tree.predict(X), y)
+
+    def test_depth_first_node_order_still_loads(self):
+        # Trees saved by the earlier depth-first builder list nodes in that
+        # order; routing and depth do not depend on the order of the arrays.
+        tree = RegressionTree.from_jsonable({
+            "feature": [0, 1, -1, -1, -1],
+            "threshold": [0.5, 0.3, 0.0, 0.0, 0.0],
+            "left": [1, 2, -1, -1, -1],
+            "right": [4, 3, -1, -1, -1],
+            "value": [0.0, 0.0, 1.0, 2.0, 3.0],
+        })
+        X = np.array([[0.1, 0.1], [0.1, 0.9], [0.9, 0.1], [0.5, 0.3]])
+        np.testing.assert_array_equal(tree.predict(X), [1.0, 2.0, 3.0, 1.0])
+        np.testing.assert_array_equal(tree.apply(X), [2, 3, 4, 2])
+        assert (tree.depth(), tree.n_leaves) == (2, 3)
+        assert RegressionTree.from_jsonable(tree.to_jsonable()).to_jsonable() == tree.to_jsonable()
 
     def test_depth_cap_limits_tree(self):
         rng = make_rng(1)

@@ -1,9 +1,15 @@
 """Harness: run loop, stop rules, file emission, CLI parsing and exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
+
+import sbobench
 
 from sbobench.core import best_so_far
 from sbobench.core.runio import load_run_logs, sidecar_path
@@ -176,6 +182,44 @@ class TestRunExperiment:
             assert a.name == b.name
             assert a.read_bytes() == b.read_bytes()
 
+    def test_noisy_runs_independent_of_solver_order_and_jobs(self, tmp_path):
+        base = dict(problem="sphere", repetitions=2, max_eval=12, rand_init=4,
+                    base_seed=1, virtual_time=True,
+                    problem_params={"d": 2, "noise_sigma": 0.5})
+        outputs = []
+        for name, solvers, jobs in (("ab", ("randomsearch", "pwl-low"), 1),
+                                    ("ba", ("pwl-low", "randomsearch"), 1),
+                                    ("ab2", ("randomsearch", "pwl-low"), 2)):
+            paths, _ = run_experiment(ExperimentConfig(
+                out_path=str(tmp_path / name), solvers=solvers, jobs=jobs, **base))
+            outputs.append({p.name: p.read_bytes() for p in paths})
+        assert len(outputs[0]) == 4
+        assert outputs[0] == outputs[1] == outputs[2]
+        # Each run draws its own noise: the two repetitions' first objectives differ
+        # from the noiseless value by different amounts.
+        logs = {log.seed: log for log, _ in load_run_logs(tmp_path / "ab")
+                if log.solver_id == "randomsearch"}
+        problem = sphere(d=2)
+        offsets = {round(log.records[0].objective
+                         - problem.evaluate(log.records[0].point)[0], 12)
+                   for log in logs.values()}
+        assert len(offsets) == 2 and 0.0 not in offsets
+
+    def test_virtual_budget_counts_only_evaluation_time(self, tmp_path):
+        # pipe-proxy reports no evaluation cost in virtual mode, so a budget
+        # is never spent however long the solver takes: both reruns stop at
+        # max_eval and write the same bytes.
+        base = dict(problem="pipe-proxy", solvers=("pwl-low",), max_eval=20,
+                    rand_init=5, base_seed=2, virtual_time=True,
+                    budget_seconds=1e-3, problem_params={"d": 3})
+        runs = []
+        for name in ("first", "second"):
+            paths, _ = run_experiment(ExperimentConfig(out_path=str(tmp_path / name), **base))
+            runs.append([p.read_bytes() for p in paths])
+        assert runs[0] == runs[1]
+        (log, _), = load_run_logs(tmp_path / "first")
+        assert len(log.records) == 20
+
     def test_best_so_far_is_monotone_in_emitted_logs(self, tmp_path):
         cfg = ExperimentConfig(
             problem="hpo-proxy", solvers=("forest-ucb",), repetitions=1,
@@ -283,6 +327,18 @@ class TestCliMain:
             (tmp_path / "exploding__randomsearch__r001.json").read_text())
         assert meta["aborted"] is True
         assert meta["empty"] is True
+
+
+def test_module_entry_point_runs_without_runtime_warning():
+    src = str(Path(sbobench.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "sbobench.harness.cli", "--help"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "usage" in proc.stdout
 
 
 def test_log_filename_format():

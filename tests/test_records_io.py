@@ -84,6 +84,16 @@ class TestBestSoFar:
             assert all(a >= b for a, b in zip(got[:-1], got[1:]))
             assert all(g <= o for g, o in zip(got, objs))
 
+    def test_objectives_read_once_and_read_only(self):
+        log = make_log([3.0, 1.0, 2.0])
+        assert log.objectives.tolist() == [r.objective for r in log.records]
+        assert log.objectives is log.objectives
+        with pytest.raises(ValueError):
+            log.objectives[0] = 0.0
+        curve = best_so_far(log)
+        curve[0] = -1.0  # the curve is the caller's own copy
+        assert log.objectives.tolist() == [3.0, 1.0, 2.0]
+
 
 class TestRoundTrip:
     def _sample_log(self, space, n=12, rand_init=4, seed=77):

@@ -13,7 +13,6 @@ from sbobench.core import (
 from sbobench.problems import esp_proxy, hpo_proxy, pipe_proxy, sphere
 from sbobench.solvers import (
     RandomSearchSolver,
-    adapt_solver,
     available_solvers,
     canonical_kind,
     make_solver,
@@ -243,31 +242,15 @@ class TestPwlPair:
 
 
 class TestAdapters:
-    def test_continuous_native_requires_adapter_on_mixed_space(self):
+    def test_continuous_native_solver_runs_on_mixed_space(self):
         from sbobench.solvers import GpUcbSolver
 
         problem = esp_proxy(n_slots=5, n_options=3, window=2, seed=0)
-        with pytest.raises(ValueError, match="round_continuous"):
-            GpUcbSolver(problem.space, R=3, seed=0)
-
-    def test_factory_auto_applies_rounding(self):
-        problem = esp_proxy(n_slots=5, n_options=3, window=2, seed=0)
-        solver = make_solver("gp-ucb", problem.space, R=3, seed=0)
-        assert solver.round_discrete
-
-    def test_adapt_solver_none_is_identity(self):
-        solver = make_solver("gp-ucb", sphere(d=2).space, R=2, seed=0)
-        assert adapt_solver(solver, "none") is solver
-
-    def test_round_continuous_rejected_for_native_discrete_solvers(self):
-        solver = make_solver("forest-ucb", sphere(d=2).space, R=2, seed=0)
-        with pytest.raises(ValueError):
-            adapt_solver(solver, "round_continuous")
-
-    def test_unknown_adapter_raises(self):
-        solver = make_solver("gp-ucb", sphere(d=2).space, R=2, seed=0)
-        with pytest.raises(KeyError):
-            adapt_solver(solver, "does-not-exist")
+        solver = GpUcbSolver(problem.space, R=3, seed=0, candidates=64, refine=0)
+        for _ in range(5):
+            pt = solver.suggest()
+            assert validate_point(problem.space, pt) is None
+            solver.observe(pt, problem.evaluate(pt)[0])
 
     def test_internal_real_suggestions_round_to_valid_values(self):
         space = SearchSpace((

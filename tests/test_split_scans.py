@@ -1,10 +1,10 @@
-"""Vectorised split scans against loop references, compared for equality.
+"""The shared CART split scan against loop references, compared for equality.
 
-Both tree builders pick splits with one arg-min over every (feature,
-position) pair.  The loop versions below scan one feature (and, for the
-Gini scan, one threshold) at a time with the same arithmetic, so the
-results must agree exactly, including which of several equal splits
-wins.
+``trees.best_split`` picks a split with one arg-min over every
+(feature, position) pair, for the squared-error and the Gini criterion
+alike.  The loop versions below scan one feature (and, for the Gini
+scan, one threshold) at a time with the same arithmetic, so the results
+must agree exactly, including which of several equal splits wins.
 """
 
 import numpy as np
@@ -42,10 +42,18 @@ def _sse_split_loop(X, y, min_leaf):
     return best
 
 
+def _gini(counts):
+    n = counts.sum()
+    if n == 0:
+        return 0.0
+    p = counts / n
+    return float(1.0 - np.sum(p * p))
+
+
 def _gini_split_loop(X, y_idx, indices, n_labels):
     n = indices.size
     parent_counts = np.bincount(y_idx[indices], minlength=n_labels)
-    parent_term = n * rules._gini(parent_counts)
+    parent_term = n * _gini(parent_counts)
     best = None
     for j in range(X.shape[1]):
         values = X[indices, j]
@@ -60,8 +68,8 @@ def _gini_split_loop(X, y_idx, indices, n_labels):
             right_counts = parent_counts - left_counts
             gain = (
                 parent_term
-                - (i + 1) * rules._gini(left_counts)
-                - (n - i - 1) * rules._gini(right_counts)
+                - (i + 1) * _gini(left_counts)
+                - (n - i - 1) * _gini(right_counts)
             )
             threshold = 0.5 * (sorted_values[i] + sorted_values[i + 1])
             key = (-gain, j, threshold)
@@ -90,7 +98,8 @@ def test_sse_split_matches_loop(kind):
         X = _features(rng, n, d, kind)
         y = rng.integers(0, 3, size=n).astype(float) if rng.uniform() < 0.3 else rng.normal(size=n)
         for min_leaf in (1, 2, 3):
-            assert trees._best_split(X, y, min_leaf) == _sse_split_loop(X, y, min_leaf)
+            split = trees.best_split(X, (y, y * y), trees.sse_cost, min_leaf)
+            assert split == _sse_split_loop(X, y, min_leaf)
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -102,6 +111,31 @@ def test_gini_split_matches_loop(kind):
         X = _features(rng, n, d, kind)
         y_idx = rng.integers(0, n_labels, size=n)
         indices = np.sort(rng.permutation(n)[: int(rng.integers(1, n + 1))])
-        assert rules._best_split(X, y_idx, indices, n_labels) == _gini_split_loop(
-            X, y_idx, indices, n_labels
-        )
+        one_hot = [y_idx[indices] == label for label in range(n_labels)]
+        split = trees.best_split(X[indices], one_hot, rules.gini_cost)
+        reference = _gini_split_loop(X, y_idx, indices, n_labels)
+        if reference is None:
+            assert split is None
+        else:
+            gain, feature, threshold = reference
+            assert split == (-gain, feature, threshold)
+
+
+def _walk(tree, x):
+    node = 0
+    while tree.feature[node] != trees.LEAF:
+        go_left = x[tree.feature[node]] <= tree.threshold[node]
+        node = tree.left[node] if go_left else tree.right[node]
+    return tree.labels[tree.label_index[node]]
+
+
+def test_rules_predict_matches_per_row_walk():
+    rng = make_rng(41)
+    X = rng.uniform(-1.0, 1.0, size=(1200, 4))
+    y = np.where(X[:, 0] + 0.5 * X[:, 1] > 0, "gp-ucb", np.where(X[:, 2] > 0.3, "pwl-low", "rs"))
+    tree = rules.grow_tree(X, y.astype(object))
+    assert tree.n_leaves > 2
+    predicted = tree.predict(X)
+    assert predicted.dtype == object and predicted.shape == (1200,)
+    assert predicted.tolist() == [_walk(tree, row) for row in X]
+    assert tree.predict_one(X[7]) == _walk(tree, X[7])
