@@ -11,6 +11,7 @@ algorithm identifier.
 """
 
 import csv
+import io
 import json
 import os
 import tempfile
@@ -64,8 +65,6 @@ def write_run_log(log: RunLog, space: SearchSpace, csv_path, extra: dict | None 
     """
     csv_path = Path(csv_path)
     names = [v.name for v in space.variables]
-    import io
-
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["iteration", "phase", *names, "objective", "eval_time_s", "solver_time_s"])

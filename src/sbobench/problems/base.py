@@ -55,11 +55,15 @@ class Problem:
     def _simulated_cost(self, point) -> float:
         return 0.0
 
-    def evaluate(self, point, virtual: bool = False) -> tuple[float, float]:
-        """Return (objective, eval_time) for a valid point."""
+    def _require_valid(self, point) -> None:
+        """Raise ValueError unless ``point`` is valid in this problem's space."""
         message = validate_point(self.space, point)
         if message is not None:
             raise ValueError(f"invalid point for problem {self.id}: {message}")
+
+    def evaluate(self, point, virtual: bool = False) -> tuple[float, float]:
+        """Return (objective, eval_time) for a valid point."""
+        self._require_valid(point)
         if virtual:
             objective = self._objective(point)
             eval_time = float(self._simulated_cost(point))

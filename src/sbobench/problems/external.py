@@ -44,11 +44,7 @@ class SubprocessProblem(Problem):
     def evaluate(self, point, virtual: bool = False) -> tuple[float, float]:
         # External commands always run for real; eval_time is measured
         # wall-clock in both modes.
-        from ..core import validate_point
-
-        message = validate_point(self.space, point)
-        if message is not None:
-            raise ValueError(f"invalid point for problem {self.id}: {message}")
+        self._require_valid(point)
         fd, path = tempfile.mkstemp(suffix=".json", prefix="sbobench-point-")
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as fh:

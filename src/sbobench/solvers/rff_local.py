@@ -44,7 +44,7 @@ class RffLocalSolver(Solver):
         step = 0.1 * np.max(span) * np.ones(len(x))
         value = self.model.predict_encoded(x)
         for _ in range(self.descent_steps):
-            grad = np.array([self.model.gradient_encoded(v) for v in x])
+            grad = self.model.gradient_encoded(x)
             norm = np.linalg.norm(grad, axis=1, keepdims=True)
             norm[norm == 0] = 1.0
             trial = np.clip(x - step[:, None] * grad / norm, self._lo, self._hi)

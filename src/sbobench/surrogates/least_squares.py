@@ -8,8 +8,13 @@ point of the encoded box; ``random_fourier`` uses ``cos(w.x + b)`` with
 Gaussian frequencies scaled by half the box widths and uniform phases.
 Every family gets a constant column.
 
-The coefficients minimise ``sum((g(x) - y)^2) + ridge * ||c||^2``; the
-normal equations are solved exactly with a Cholesky factorisation plus
+The coefficients minimise ``sum((g(x) - y)^2) + ridge * ||c||^2`` for
+the (n x p) design ``phi``.  With ``ridge > 0`` and fewer points than
+basis functions (n < p) the fit solves the n x n dual system
+``(phi phi' + ridge I) a = y`` and returns ``c = phi' a`` (Saunders,
+Gammerman & Vovk, 1998); otherwise it solves the p x p normal
+equations ``(phi' phi + ridge I) c = phi' y``.  Both give the same
+minimiser.  Either system is solved with a Cholesky factorisation plus
 one step of iterative refinement.
 """
 
@@ -27,29 +32,22 @@ FAMILIES = ("linear", "quadratic", "piecewise_linear", "random_fourier")
 
 
 def _quadratic_features(X: np.ndarray) -> np.ndarray:
-    n, d = X.shape
-    cols = [np.ones((n, 1)), X]
-    for i in range(d):
-        for j in range(i, d):
-            cols.append((X[:, i] * X[:, j])[:, None])
-    return np.hstack(cols)
+    rows, cols = np.triu_indices(X.shape[1])
+    return np.hstack([np.ones((X.shape[0], 1)), X, X[:, rows] * X[:, cols]])
 
 
 def _draw_hinge_basis(space: SearchSpace, n_basis: int, rng) -> tuple[np.ndarray, np.ndarray]:
     """Hinge directions from {-1,0,1}^d (normalised) and box offsets."""
     lower, upper = encoded_bounds(space)
     d = space.dimension
-    W = np.empty((n_basis, d))
-    b = np.empty(n_basis)
-    for k in range(n_basis):
-        w = rng.integers(-1, 2, size=d).astype(float)
-        while not w.any():
-            w = rng.integers(-1, 2, size=d).astype(float)
-        w /= np.linalg.norm(w)
-        anchor = rng.uniform(lower, upper)
-        W[k] = w
-        b[k] = -float(w @ anchor)
-    return W, b
+    W = rng.integers(-1, 2, size=(n_basis, d)).astype(float)
+    zero = ~W.any(axis=1)
+    while zero.any():
+        W[zero] = rng.integers(-1, 2, size=(int(zero.sum()), d))
+        zero = ~W.any(axis=1)
+    W /= np.linalg.norm(W, axis=1, keepdims=True)
+    anchor = rng.uniform(lower, upper, size=(n_basis, d))
+    return W, -np.einsum("kj,kj->k", W, anchor)
 
 
 def _draw_fourier_basis(space: SearchSpace, n_basis: int, rng) -> tuple[np.ndarray, np.ndarray]:
@@ -92,29 +90,26 @@ class LeastSquaresModel(SurrogateModel):
         return self.features(X) @ self.coefficients
 
     def gradient_encoded(self, x: np.ndarray) -> np.ndarray:
-        """Gradient of the prediction at one encoded vector."""
-        x = np.asarray(x, dtype=float)
-        if self.family == "linear":
-            return self.coefficients[1 : 1 + x.size].copy()
-        if self.family == "quadratic":
-            d = x.size
-            grad = self.coefficients[1 : 1 + d].copy()
-            k = 1 + d
-            for i in range(d):
-                for j in range(i, d):
-                    c = self.coefficients[k]
-                    if i == j:
-                        grad[i] += 2.0 * c * x[i]
-                    else:
-                        grad[i] += c * x[j]
-                        grad[j] += c * x[i]
-                    k += 1
-            return grad
-        a = self.W @ x + self.b
-        c = self.coefficients[1:]
-        if self.family == "piecewise_linear":
-            return (c * (a > 0.0)) @ self.W
-        return -(c * np.sin(a)) @ self.W
+        """Gradient of the prediction at one encoded vector, or at each row
+        of an (m, d) matrix (returned as (m, d))."""
+        X = np.atleast_2d(np.asarray(x, dtype=float))
+        d = X.shape[1]
+        if self.family in ("linear", "quadratic"):
+            grad = np.tile(self.coefficients[1 : 1 + d], (X.shape[0], 1))
+            if self.family == "quadratic":
+                # d/dx of sum_{i<=j} c_ij x_i x_j is Q x with Q = U + U',
+                # U the upper triangle of the c_ij (so Q_ii = 2 c_ii).
+                upper = np.zeros((d, d))
+                upper[np.triu_indices(d)] = self.coefficients[1 + d :]
+                grad += X @ (upper + upper.T)
+        else:
+            A = X @ self.W.T + self.b
+            c = self.coefficients[1:]
+            if self.family == "piecewise_linear":
+                grad = (c * (A > 0.0)) @ self.W
+            else:
+                grad = -(c * np.sin(A)) @ self.W
+        return grad if np.ndim(x) == 2 else grad[0]
 
     def to_jsonable(self) -> dict:
         out = {
@@ -159,8 +154,9 @@ def fit_least_squares(
         only succeeds for full-rank designs.
     :param n_basis: number of random basis functions (hinge / Fourier
         families only; the monomial families ignore it).
-    :param seed: seed for the random basis draw, so refits on growing
-        data reuse the same basis.
+    :param seed: seed for the random basis draw; the same seed gives the
+        same basis.  The solvers pass ``_fit_seed()``, a fresh seed per
+        refit, so each refit draws a new basis rather than reusing one.
     """
     if family not in FAMILIES:
         raise ValueError(f"unknown least-squares family {family!r}")
@@ -179,21 +175,24 @@ def fit_least_squares(
 
     model = LeastSquaresModel(space, family, np.zeros(1), W=W, b=b, ridge=ridge)
     phi = model.features(X)
-    gram = phi.T @ phi
+    dual = ridge > 0 and phi.shape[0] < phi.shape[1]
+    if dual:
+        gram, rhs = phi @ phi.T, y
+    else:
+        gram, rhs = phi.T @ phi, phi.T @ y
     if ridge > 0:
-        gram = gram + ridge * np.eye(gram.shape[0])
-    rhs = phi.T @ y
+        gram[np.diag_indices_from(gram)] += ridge
     try:
         factor = cho_factor(gram, lower=True, check_finite=False)
     except np.linalg.LinAlgError as err:
         if ridge <= 0:
             raise FitError("regularisation required: design is rank-deficient") from err
         raise FitError(f"normal equations could not be factorised (ridge={ridge})") from err
-    coeff = cho_solve(factor, rhs, check_finite=False)
+    solution = cho_solve(factor, rhs, check_finite=False)
     # One round of iterative refinement keeps the optimality residual
     # ||phi'(phi c - y) + ridge c|| at the rounding level even for
     # ill-conditioned random bases.
-    residual = rhs - gram @ coeff
-    coeff = coeff + cho_solve(factor, residual, check_finite=False)
-    model.coefficients = coeff
+    residual = rhs - gram @ solution
+    solution = solution + cho_solve(factor, residual, check_finite=False)
+    model.coefficients = phi.T @ solution if dual else solution
     return model

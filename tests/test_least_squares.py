@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 
 from sbobench.core import SearchSpace, VariableSpec, make_rng, sample_uniform
+from sbobench.problems import make_problem
 from sbobench.surrogates import FitError, fit_least_squares, load_model, mae
-from sbobench.surrogates.encoding import encode_points
+from sbobench.surrogates import least_squares
+from sbobench.surrogates.encoding import encode_points, encoded_bounds
+from sbobench.surrogates.least_squares import FAMILIES
 
 
 def _line_data(space, slope=2.0, intercept=1.0, xs=(0.0, 0.5, 1.0, 2.0, 4.0)):
@@ -75,10 +78,35 @@ class TestPiecewiseLinear:
         W = model.W
         assert W.shape == (64, 2)
         for w in W:
-            scaled = w * np.linalg.norm(w) ** 0  # unit norm already
             assert abs(np.linalg.norm(w) - 1.0) < 1e-12
             pattern = np.round(w / np.abs(w[np.abs(w) > 1e-12]).min())
             assert set(np.unique(pattern)).issubset({-1.0, 0.0, 1.0})
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_hinge_draw_on_small_boxes(self, d):
+        # In 1-D a third of the first draw's rows are zero, so the redraw
+        # loop always runs.
+        space = SearchSpace(
+            tuple(VariableSpec(f"x{i}", "continuous", lower=-1.0 - i, upper=2.0 + i)
+                  for i in range(d))
+        )
+        n_basis, seed = 300, 17
+        first = make_rng(seed).integers(-1, 2, size=(n_basis, d))
+        assert (~first.any(axis=1)).any()
+        W, b = least_squares._draw_hinge_basis(space, n_basis, make_rng(seed))
+        assert W.shape == (n_basis, d) and b.shape == (n_basis,)
+        assert np.all(np.abs(W).max(axis=1) > 0)
+        np.testing.assert_allclose(np.linalg.norm(W, axis=1), 1.0, rtol=0, atol=1e-12)
+        pattern = W * np.sqrt(np.count_nonzero(W, axis=1))[:, None]
+        np.testing.assert_allclose(pattern, np.round(pattern), rtol=0, atol=1e-12)
+        assert set(np.unique(np.round(pattern))).issubset({-1.0, 0.0, 1.0})
+        W2, b2 = least_squares._draw_hinge_basis(space, n_basis, make_rng(seed))
+        np.testing.assert_array_equal(W, W2)
+        np.testing.assert_array_equal(b, b2)
+        if d == 1:  # the hinge's kink is its anchor, a point of the box
+            lower, upper = encoded_bounds(space)
+            kink = -b / W[:, 0]
+            assert np.all((kink >= lower[0]) & (kink <= upper[0]))
 
 
 def _line_data_2d(space, n=20, seed=1):
@@ -109,7 +137,7 @@ class TestRandomFourier:
 
 
 class TestOptimality:
-    @pytest.mark.parametrize("family", ["linear", "quadratic", "piecewise_linear", "random_fourier"])
+    @pytest.mark.parametrize("family", FAMILIES)
     def test_normal_equation_residual_is_tiny(self, box_space, family):
         # First-order optimality of the regularised objective:
         # phi'(phi c - y) + ridge c = 0 up to rounding.
@@ -127,6 +155,50 @@ class TestOptimality:
             assert np.max(np.abs(residual)) <= 1e-6
 
 
+class TestDualSolve:
+    """With ridge > 0 and n < p the fit solves the n x n dual system."""
+
+    @pytest.mark.parametrize("family,n_basis", [("piecewise_linear", 1000), ("random_fourier", 500)])
+    @pytest.mark.parametrize("n", [10, 24])
+    def test_optimality_residual_at_solver_shapes(self, family, n_basis, n):
+        problem = make_problem("pipe-proxy", d=10)
+        ridge = 1e-6
+        for seed in range(5):
+            rng = make_rng(500 + seed)
+            pts = [sample_uniform(problem.space, rng) for _ in range(n)]
+            y = np.array([problem.evaluate(p, virtual=True)[0] for p in pts])
+            model = fit_least_squares(
+                problem.space, list(zip(pts, y)), family=family, ridge=ridge,
+                n_basis=n_basis, seed=seed,
+            )
+            assert model.coefficients.shape == (n_basis + 1,)
+            phi = model.features(encode_points(problem.space, pts))
+            residual = phi.T @ (phi @ model.coefficients - y) + ridge * model.coefficients
+            assert np.max(np.abs(residual)) <= 1e-6
+
+    def test_factorises_the_smaller_system(self, box_space, monkeypatch):
+        shapes = []
+        real = least_squares.cho_factor
+
+        def spy(a, *args, **kwargs):
+            shapes.append(a.shape)
+            return real(a, *args, **kwargs)
+
+        monkeypatch.setattr(least_squares, "cho_factor", spy)
+        data = _line_data_2d(box_space, n=20)
+        fit_least_squares(box_space, data, family="piecewise_linear", n_basis=64, seed=1)
+        fit_least_squares(box_space, data, family="random_fourier", n_basis=64, seed=1)
+        fit_least_squares(box_space, data, family="piecewise_linear", n_basis=8, seed=1)
+        fit_least_squares(box_space, data, family="quadratic")
+        assert shapes == [(20, 20), (20, 20), (9, 9), (6, 6)]
+
+    def test_unregularised_underdetermined_fit_raises(self, box_space):
+        data = _line_data_2d(box_space, n=20)
+        with pytest.raises(FitError, match="regularisation required"):
+            fit_least_squares(box_space, data, family="piecewise_linear", ridge=0.0,
+                              n_basis=64, seed=1)
+
+
 class TestGradients:
     @pytest.mark.parametrize("family", ["linear", "quadratic", "random_fourier"])
     def test_gradient_matches_finite_differences(self, box_space, family):
@@ -141,10 +213,31 @@ class TestGradients:
             fd = (model.predict_encoded((x + step)[None]) - model.predict_encoded((x - step)[None])) / (2 * eps)
             assert abs(grad[i] - fd[0]) < 1e-5
 
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_matrix_form_matches_rows_and_finite_differences(self, box_space, family):
+        rng = make_rng(3)
+        pts = [sample_uniform(box_space, rng) for _ in range(25)]
+        X = encode_points(box_space, pts)
+        data = list(zip(pts, np.sin(3.0 * X[:, 0]) * X[:, 1] + X[:, 1] ** 2))
+        model = fit_least_squares(box_space, data, family=family, n_basis=40, seed=3, ridge=1e-8)
+        rng = make_rng(8)
+        X = np.column_stack([rng.uniform(0.0, 1.0, size=9), rng.uniform(-2.0, 3.0, size=9)])
+        grads = model.gradient_encoded(X)
+        assert grads.shape == X.shape
+        assert model.gradient_encoded(X[0]).shape == (2,)
+        rows = np.array([model.gradient_encoded(x) for x in X])
+        np.testing.assert_allclose(grads, rows, rtol=1e-12, atol=1e-12)
+        eps = 1e-6
+        for i in range(2):
+            step = np.zeros(2)
+            step[i] = eps
+            fd = (model.predict_encoded(X + step) - model.predict_encoded(X - step)) / (2 * eps)
+            np.testing.assert_allclose(grads[:, i], fd, rtol=0, atol=1e-5)
+
 
 def test_round_trip_serialisation(box_space, tmp_path):
     data = _line_data_2d(box_space)
-    for family in ("linear", "quadratic", "piecewise_linear", "random_fourier"):
+    for family in FAMILIES:
         model = fit_least_squares(box_space, data, family=family, n_basis=16, seed=1)
         path = tmp_path / f"{family}.json"
         model.save(path)
