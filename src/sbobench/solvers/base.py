@@ -100,9 +100,8 @@ class Solver:
         return X, y
 
     def _incumbent_encoded(self) -> np.ndarray:
-        ys = [t for _, t in self.history]
-        best = int(np.argmin(ys))
-        return encode(self.space, self.history[best][0])
+        best = int(np.argmin([t for _, t in self.history]))
+        return self._encoded_rows[best].copy()
 
     def _decode(self, vector: np.ndarray):
         return nearest_point(self.space, vector)

@@ -1,16 +1,23 @@
 """Random-forest surrogate with confidence-bound scoring on candidates.
 
 The forest handles every variable kind natively (splits are thresholds
-on encoded indices), and its candidates are valid points.  Acquisition
-scores a deterministic candidate set: 256 uniform samples plus 256
-single-variable mutations spread over the best four incumbents, picking
-the score maximiser with ties going to the lowest candidate index.
+on encoded indices), and its candidates are valid encoded rows.
+Acquisition scores a deterministic candidate matrix: 256 uniform rows
+plus 256 single-variable mutations spread over the best four incumbents,
+picking the score maximiser with ties going to the lowest candidate
+index.  Only the chosen row is decoded into a point.
+
+Draw order from the solver's stream, per acquisition: the uniform block
+(``sample_encoded``, column by column); the column each mutant redraws
+(one integer per mutant); then a second ``sample_encoded`` block with
+one row per mutant, from which mutant k takes its redrawn column.
+Mutant k starts as elite ``k % 4``, the elites being the best rows of
+the history under a stable sort on the objective.
 """
 
 import numpy as np
 
-from ..core import sample_uniform
-from ..surrogates.encoding import encode_points
+from ..surrogates.encoding import sample_encoded
 from ..surrogates.forest import fit_forest
 from .acquisition import DEFAULT_BETA, ucb_score
 from .base import Solver
@@ -35,37 +42,24 @@ class ForestUcbSolver(Solver):
         self.model = fit_forest(self.space, self.history,
                                 n_trees=self.n_trees, seed=self._fit_seed())
 
-    def _mutate(self, point):
-        """Resample one uniformly chosen variable of an incumbent."""
-        mapping = dict(self.space.as_mapping(point))
-        variable = self.space.variables[self.rng.integers(len(mapping))]
-        if variable.kind == "continuous":
-            mapping[variable.name] = float(
-                self.rng.uniform(variable.lower, variable.upper))
-        elif variable.kind == "integer":
-            mapping[variable.name] = int(
-                self.rng.integers(variable.lower, variable.upper + 1))
-        else:
-            mapping[variable.name] = variable.categories[
-                self.rng.integers(len(variable.categories))]
-        return self.space.make_point(mapping)
-
     def _acquire(self):
-        candidates = [sample_uniform(self.space, self.rng)
-                      for _ in range(self.uniform_candidates)]
-        order = np.argsort([t for _, t in self.history], kind="stable")
-        elites = [self.history[i][0] for i in order[: self.elites]]
-        for k in range(self.mutations):
-            candidates.append(self._mutate(elites[k % len(elites)]))
-        encoded = encode_points(self.space, candidates)
-        mean, var = self.model.predict_variance_encoded(encoded)
+        X, y = self._encoded_history()
+        elites = X[np.argsort(y, kind="stable")[: self.elites]]
+        uniform = sample_encoded(self.space, self.rng, self.uniform_candidates)
+        rows = np.arange(self.mutations)
+        mutants = elites[rows % len(elites)]
+        columns = self.rng.integers(self.space.dimension, size=self.mutations)
+        redrawn = sample_encoded(self.space, self.rng, self.mutations)
+        mutants[rows, columns] = redrawn[rows, columns]
+        candidates = np.vstack([uniform, mutants])
+        mean, var = self.model.predict_variance_encoded(candidates)
         scores = ucb_score(mean, var, self.beta)
         chosen = int(np.argmax(scores))  # first maximum on ties
         self.last_proposal = {
-            "candidates": encoded,
+            "candidates": candidates,
             "means": mean,
             "variances": var,
             "scores": scores,
             "chosen_index": chosen,
         }
-        return candidates[chosen]
+        return self._decode(candidates[chosen])

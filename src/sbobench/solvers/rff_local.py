@@ -39,19 +39,27 @@ class RffLocalSolver(Solver):
         )
 
     def _descend(self, starts: np.ndarray) -> np.ndarray:
+        """Descend from every start at once.  Each step forms the trials'
+        phases once, for their values and, where a trial is accepted, for
+        the next gradient; slopes are recomputed only for rows that move."""
+        model = self.model
         span = self._hi - self._lo
         x = starts.copy()
         step = 0.1 * np.max(span) * np.ones(len(x))
-        value = self.model.predict_encoded(x)
+        phases = model.phases(x)
+        value = model.phase_features(phases) @ model.coefficients
+        slopes = model.phase_slopes(phases)
         for _ in range(self.descent_steps):
-            grad = self.model.gradient_encoded(x)
+            grad = model.slope_gradient(slopes)
             norm = np.linalg.norm(grad, axis=1, keepdims=True)
             norm[norm == 0] = 1.0
             trial = np.clip(x - step[:, None] * grad / norm, self._lo, self._hi)
-            trial_value = self.model.predict_encoded(trial)
+            trial_phases = model.phases(trial)
+            trial_value = model.phase_features(trial_phases) @ model.coefficients
             better = trial_value < value
             x[better] = trial[better]
             value[better] = trial_value[better]
+            slopes[better] = model.phase_slopes(trial_phases[better])
             step = np.where(better, step * 1.1, step * 0.5)
             if np.all(step < 1e-9 * np.max(span)):
                 break

@@ -26,10 +26,38 @@ def encode(space: SearchSpace, point: Point) -> np.ndarray:
 
 
 def encode_points(space: SearchSpace, points: Sequence[Point]) -> np.ndarray:
-    """Encode a sequence of points as an (n, d) matrix."""
-    return np.array([encode(space, p) for p in points], dtype=float).reshape(
-        len(points), space.dimension
-    )
+    """Encode a sequence of points as an (n, d) matrix, equal to ``encode`` row by row.
+
+    Works column by column: for many points that is several times faster
+    than encoding each row, for one point it is slower.
+    """
+    out = np.empty((len(points), space.dimension))
+    columns = zip(*(p.values for p in points))
+    for i, (v, column) in enumerate(zip(space.variables, columns)):
+        if v.kind == CATEGORICAL:
+            index = {c: k for k, c in enumerate(v.categories)}
+            out[:, i] = [index[c] for c in column]
+        else:
+            out[:, i] = column
+    return out
+
+
+def sample_encoded(space: SearchSpace, rng: np.random.Generator, m: int) -> np.ndarray:
+    """Draw ``m`` uniform encoded rows, one column per variable in declaration order.
+
+    Continuous columns are uniform on [lower, upper], integer columns
+    uniform over their levels, categorical columns uniform over the
+    indices 0..k-1.  Every row encodes a valid point.
+    """
+    out = np.empty((m, space.dimension))
+    for i, v in enumerate(space.variables):
+        if v.kind == CONTINUOUS:
+            out[:, i] = rng.uniform(v.lower, v.upper, size=m)
+        elif v.kind == CATEGORICAL:
+            out[:, i] = rng.integers(0, len(v.categories), size=m)
+        else:
+            out[:, i] = rng.integers(int(v.lower), int(v.upper) + 1, size=m)
+    return out
 
 
 def encoded_bounds(space: SearchSpace) -> tuple[np.ndarray, np.ndarray]:

@@ -155,11 +155,12 @@ register_family(
 )
 
 
-def _lml_and_grad(dists, y, theta):
-    """Log marginal likelihood and gradient w.r.t. log-parameters.
+def _lml(dists, y, theta):
+    """Log marginal likelihood at log-parameters ``theta``.
 
     ``theta`` is (log lengthscale, log signal_var, log noise_var).
-    Returns (lml, grad) or (None, None) when the factorisation fails.
+    Returns (lml, terms), ``terms`` being what :func:`_lml_grad` needs,
+    or (None, None) when the factorisation fails.
     """
     ell, sf2, sn2 = (math.exp(t) for t in theta)
     n = y.size
@@ -174,19 +175,27 @@ def _lml_and_grad(dists, y, theta):
         return None, None
     alpha = cho_solve((L, True), y, check_finite=False)
     lml = -0.5 * (y @ alpha) - np.sum(np.log(np.diag(L))) - 0.5 * n * math.log(2 * math.pi)
+    return float(lml), (L, alpha, u, E, M, sf2, sn2)
 
-    Kinv = cho_solve((L, True), np.eye(n), check_finite=False)
+
+def _lml_grad(terms):
+    """Gradient of the log marginal likelihood w.r.t. the log-parameters.
+
+    Forms the O(n^3) inverse ``K^-1``, so the search calls it only for
+    starts and accepted steps.
+    """
+    L, alpha, u, E, M, sf2, sn2 = terms
+    Kinv = cho_solve((L, True), np.eye(alpha.size), check_finite=False)
     A = np.outer(alpha, alpha) - Kinv
     # dK/dlog(ell) = sf2 * u^2 (1 + u) exp(-u) / 3
     dK_ell = sf2 * (u * u * (1.0 + u) / 3.0) * E
-    grad = np.array(
+    return np.array(
         [
             0.5 * np.sum(A * dK_ell),
             0.5 * np.sum(A * (sf2 * M)),
             0.5 * np.trace(A) * sn2,
         ]
     )
-    return float(lml), grad
 
 
 def optimise_hyperparameters(
@@ -215,15 +224,16 @@ def optimise_hyperparameters(
     best_theta, best_lml = None, -np.inf
     for theta in starts:
         theta = np.clip(np.asarray(theta, dtype=float), lo, hi)
-        lml, grad = _lml_and_grad(dists, y, theta)
+        lml, terms = _lml(dists, y, theta)
         if lml is None:
             continue
+        grad = _lml_grad(terms)
         step = 0.1
         for _ in range(steps):
             proposal = np.clip(theta + step * grad, lo, hi)
-            new_lml, new_grad = _lml_and_grad(dists, y, proposal)
+            new_lml, new_terms = _lml(dists, y, proposal)
             if new_lml is not None and new_lml > lml:
-                theta, lml, grad = proposal, new_lml, new_grad
+                theta, lml, grad = proposal, new_lml, _lml_grad(new_terms)
                 step = min(step * 1.2, 0.5)
             else:
                 step *= 0.5

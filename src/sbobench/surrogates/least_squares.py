@@ -73,18 +73,30 @@ class LeastSquaresModel(SurrogateModel):
     def n_basis(self) -> int:
         return 0 if self.W is None else self.W.shape[0]
 
+    def phases(self, X: np.ndarray) -> np.ndarray:
+        """Hinge / Fourier phases ``X W' + b`` of an (m, d) matrix."""
+        return X @ self.W.T + self.b
+
+    def phase_features(self, A: np.ndarray) -> np.ndarray:
+        """Design rows (constant column, then the basis) at phases ``A``."""
+        basis = np.maximum(A, 0.0) if self.family == "piecewise_linear" else np.cos(A)
+        return np.hstack([np.ones((A.shape[0], 1)), basis])
+
+    def phase_slopes(self, A: np.ndarray) -> np.ndarray:
+        """Derivative of each basis function with respect to its phase."""
+        return A > 0.0 if self.family == "piecewise_linear" else -np.sin(A)
+
+    def slope_gradient(self, slopes: np.ndarray) -> np.ndarray:
+        """Gradient rows of the prediction, given ``phase_slopes`` rows."""
+        return (self.coefficients[1:] * slopes) @ self.W
+
     def features(self, X: np.ndarray) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=float))
         if self.family == "linear":
             return np.hstack([np.ones((X.shape[0], 1)), X])
         if self.family == "quadratic":
             return _quadratic_features(X)
-        A = X @ self.W.T + self.b
-        if self.family == "piecewise_linear":
-            basis = np.maximum(A, 0.0)
-        else:
-            basis = np.cos(A)
-        return np.hstack([np.ones((X.shape[0], 1)), basis])
+        return self.phase_features(self.phases(X))
 
     def predict_encoded(self, X: np.ndarray) -> np.ndarray:
         return self.features(X) @ self.coefficients
@@ -103,12 +115,7 @@ class LeastSquaresModel(SurrogateModel):
                 upper[np.triu_indices(d)] = self.coefficients[1 + d :]
                 grad += X @ (upper + upper.T)
         else:
-            A = X @ self.W.T + self.b
-            c = self.coefficients[1:]
-            if self.family == "piecewise_linear":
-                grad = (c * (A > 0.0)) @ self.W
-            else:
-                grad = -(c * np.sin(A)) @ self.W
+            grad = self.slope_gradient(self.phase_slopes(self.phases(X)))
         return grad if np.ndim(x) == 2 else grad[0]
 
     def to_jsonable(self) -> dict:

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from sbobench.core import SearchSpace, VariableSpec, make_rng, sample_uniform, validate_point
+from sbobench.problems import esp_proxy, hpo_proxy, pipe_proxy
 from sbobench.surrogates import encode, encode_points, encoded_bounds, nearest_point
+from sbobench.surrogates.encoding import sample_encoded
 
 
 def test_single_continuous_value_passes_through():
@@ -33,6 +35,40 @@ def test_encode_points_shape(mixed_space):
     rng = make_rng(0)
     pts = [sample_uniform(mixed_space, rng) for _ in range(7)]
     assert encode_points(mixed_space, pts).shape == (7, 4)
+
+
+@pytest.mark.parametrize("make_problem", [esp_proxy, lambda: hpo_proxy(seed=0),
+                                          lambda: pipe_proxy(d=10)],
+                         ids=["esp-proxy", "hpo-proxy", "pipe-proxy"])
+def test_encode_points_equals_rowwise_reference(make_problem):
+    space = make_problem().space
+    rng = make_rng(11)
+    pts = [sample_uniform(space, rng) for _ in range(300)]
+    expected = np.array([
+        [v.categories.index(x) if v.kind == "categorical" else float(x)
+         for v, x in zip(space.variables, p.values)]
+        for p in pts
+    ], dtype=float)
+    got = encode_points(space, pts)
+    assert encode(space, pts[0]).tobytes() == expected[0].tobytes()
+    assert got.dtype == expected.dtype
+    assert got.tobytes() == expected.tobytes()
+
+
+def test_encode_points_of_no_points(mixed_space):
+    assert encode_points(mixed_space, []).shape == (0, 4)
+
+
+def test_sampled_rows_decode_exactly(mixed_space):
+    rows = sample_encoded(mixed_space, make_rng(2), 200)
+    assert rows.shape == (200, 4)
+    for row in rows:
+        pt = nearest_point(mixed_space, row)
+        assert validate_point(mixed_space, pt) is None
+        assert encode(mixed_space, pt).tolist() == row.tolist()
+    # every level of the discrete columns turns up
+    assert set(rows[:, 0]) == {0.0, 1.0, 2.0}
+    assert set(rows[:, 2]) == {0.0, 1.0, 2.0, 3.0, 4.0, 5.0}
 
 
 def test_encoded_bounds(mixed_space):

@@ -1,7 +1,10 @@
 """Gaussian-process surrogate: kernel, posterior, jitter, hyperopt."""
 
+import math
+
 import numpy as np
 import pytest
+from scipy.linalg import cho_solve, cholesky
 
 from sbobench.core import SearchSpace, VariableSpec, make_rng, sample_uniform
 from sbobench.surrogates import (
@@ -13,7 +16,12 @@ from sbobench.surrogates import (
     matern52,
 )
 from sbobench.surrogates.encoding import encode_points
-from sbobench.surrogates.gp import _factorize, _pairwise_dists
+from sbobench.surrogates.gp import (
+    NOISE_FLOOR,
+    _factorize,
+    _pairwise_dists,
+    optimise_hyperparameters,
+)
 
 
 @pytest.fixture
@@ -128,6 +136,74 @@ class TestHyperopt:
         data, _, _ = _train_data(cube3, 15, 4, _smooth)
         model = fit_gp(cube3, data, optimise_hypers=True, multistarts=3, steps=40, seed=2)
         assert model.params.noise_var >= 1e-8
+
+
+def _reference_lml_and_grad(dists, y, theta):
+    """Likelihood and gradient in one pass, the inverse formed every time."""
+    ell, sf2, sn2 = (math.exp(t) for t in theta)
+    n = y.size
+    u = math.sqrt(5.0) * dists / ell
+    E = np.exp(-u)
+    M = (1.0 + u + u * u / 3.0) * E
+    K = sf2 * M
+    K[np.diag_indices_from(K)] += sn2
+    try:
+        L = cholesky(K, lower=True, check_finite=False)
+    except np.linalg.LinAlgError:
+        return None, None
+    alpha = cho_solve((L, True), y, check_finite=False)
+    lml = -0.5 * (y @ alpha) - np.sum(np.log(np.diag(L))) - 0.5 * n * math.log(2 * math.pi)
+    A = np.outer(alpha, alpha) - cho_solve((L, True), np.eye(n), check_finite=False)
+    dK_ell = sf2 * (u * u * (1.0 + u) / 3.0) * E
+    grad = np.array([0.5 * np.sum(A * dK_ell), 0.5 * np.sum(A * (sf2 * M)),
+                     0.5 * np.trace(A) * sn2])
+    return float(lml), grad
+
+
+def _reference_search(dists, y, box_diagonal, init, multistarts, steps, seed):
+    """The multistart ascent with the gradient taken at every proposal."""
+    y_var = max(float(np.var(y)), 1e-12)
+    lo = np.log([1e-3 * box_diagonal, 1e-8 * y_var, NOISE_FLOOR])
+    hi = np.log([1e3 * box_diagonal, 1e8 * y_var, max(4.0 * y_var, 1e-6)])
+    rng = make_rng(seed)
+    starts = [np.log([init.lengthscale, init.signal_var, init.noise_var]),
+              np.log([0.25 * box_diagonal, y_var, 1e-4 * y_var + NOISE_FLOOR])]
+    while len(starts) < multistarts:
+        starts.append(rng.uniform(lo, hi))
+    best_theta, best_lml = None, -np.inf
+    for theta in starts:
+        theta = np.clip(np.asarray(theta, dtype=float), lo, hi)
+        lml, grad = _reference_lml_and_grad(dists, y, theta)
+        if lml is None:
+            continue
+        step = 0.1
+        for _ in range(steps):
+            proposal = np.clip(theta + step * grad, lo, hi)
+            new_lml, new_grad = _reference_lml_and_grad(dists, y, proposal)
+            if new_lml is not None and new_lml > lml:
+                theta, lml, grad = proposal, new_lml, new_grad
+                step = min(step * 1.2, 0.5)
+            else:
+                step *= 0.5
+                if step < 1e-6:
+                    break
+        if lml > best_lml:
+            best_theta, best_lml = theta, lml
+    ell, sf2, sn2 = (math.exp(t) for t in best_theta)
+    return MaternParams(ell, sf2, max(sn2, NOISE_FLOOR))
+
+
+@pytest.mark.parametrize("d", [3, 10, 49])
+@pytest.mark.parametrize("n", [30, 150])
+def test_hyperparameter_search_equals_reference_loop(d, n):
+    rng = make_rng(1000 * d + n)
+    X = rng.uniform(size=(n, d))
+    y = np.sin(3.0 * X[:, 0]) + X[:, 1:].sum(axis=1) ** 2 / d + 0.01 * rng.normal(size=n)
+    dists = _pairwise_dists(X, X)
+    init = MaternParams(0.5, 1.0, 1e-4)
+    for multistarts, steps in ((2, 10), (3, 60)):
+        args = (dists, y, math.sqrt(d), init, multistarts, steps, d)
+        assert optimise_hyperparameters(*args) == _reference_search(*args)
 
 
 def test_round_trip_serialisation(cube3, tmp_path):

@@ -18,7 +18,7 @@ from sbobench.solvers import (
     make_solver,
     ucb_score,
 )
-from sbobench.surrogates.encoding import encode
+from sbobench.surrogates.encoding import encode, encoded_bounds
 
 ALL_KINDS = ("randomsearch", "gp-ucb", "rff-local", "pwl-low", "pwl-high",
              "forest-ucb")
@@ -131,6 +131,13 @@ class TestLoopContracts:
             runs.append([pt.values for pt, _ in solver.history])
         assert runs[0] == runs[1]
 
+    def test_incumbent_is_the_cached_encoded_row(self):
+        problem = hpo_proxy(seed=0)
+        solver = make_solver("rff-local", problem.space, R=20, seed=3)
+        drive(solver, problem, 8)
+        best = min(solver.history, key=lambda pair: pair[1])[0]
+        assert solver._incumbent_encoded().tolist() == encode(problem.space, best).tolist()
+
     def test_distinct_seeds_diverge(self):
         problem = pipe_proxy(d=3)
         a = make_solver("randomsearch", problem.space, R=2, seed=1).suggest()
@@ -211,6 +218,91 @@ class TestForestUcbAcquisition:
         drive(solver, problem, 4)
         solver.suggest()
         assert len(solver.last_proposal["candidates"]) == 48
+
+
+class TestForestUcbCandidateMatrix:
+    @pytest.mark.parametrize("make_problem", [lambda: hpo_proxy(seed=0),
+                                              lambda: sphere(d=3)],
+                             ids=["hpo-proxy", "sphere"])
+    def test_uniform_block_mutants_and_decoded_choice(self, make_problem):
+        problem = make_problem()
+        space = problem.space
+        lower, upper = encoded_bounds(space)
+        discrete = np.array([v.kind != "continuous" for v in space.variables])
+        solver = make_solver("forest-ucb", space, R=6, seed=21)
+        drive(solver, problem, 6)
+        for _ in range(3):
+            X, y = solver._encoded_history()
+            elites = X[np.argsort(y, kind="stable")[:4]]
+            suggestion = solver.suggest()
+            audit = solver.last_proposal
+            candidates = audit["candidates"]
+            assert candidates.shape == (512, space.dimension)
+            uniform, mutants = candidates[:256], candidates[256:]
+            assert np.all((uniform >= lower) & (uniform <= upper))
+            assert np.array_equal(uniform[:, discrete],
+                                  np.rint(uniform[:, discrete]))
+            assert all(len(np.unique(column)) > 1 for column in uniform.T)
+            for k, row in enumerate(mutants):
+                changed = np.flatnonzero(row != elites[k % 4])
+                assert len(changed) <= 1
+                for j in changed:
+                    assert lower[j] <= row[j] <= upper[j]
+                    assert not discrete[j] or row[j] == np.rint(row[j])
+            assert validate_point(space, suggestion) is None
+            np.testing.assert_array_equal(
+                encode(space, suggestion),
+                candidates[audit["chosen_index"]],
+            )
+            solver.observe(suggestion, problem.evaluate(suggestion)[0])
+
+
+def _reference_descent(solver, starts):
+    """rff-local's descent loop with the surrogate's value and gradient
+    written out in full, both recomputed from ``x`` at every step."""
+    model = solver.model
+    W, b, c = model.W, model.b, model.coefficients
+
+    def predict(X):
+        return np.hstack([np.ones((len(X), 1)), np.cos(X @ W.T + b)]) @ c
+
+    def gradient(X):
+        return -(c[1:] * np.sin(X @ W.T + b)) @ W
+
+    span = solver._hi - solver._lo
+    x = starts.copy()
+    step = 0.1 * np.max(span) * np.ones(len(x))
+    value = predict(x)
+    for _ in range(solver.descent_steps):
+        grad = gradient(x)
+        norm = np.linalg.norm(grad, axis=1, keepdims=True)
+        norm[norm == 0] = 1.0
+        trial = np.clip(x - step[:, None] * grad / norm, solver._lo, solver._hi)
+        trial_value = predict(trial)
+        better = trial_value < value
+        x[better] = trial[better]
+        value[better] = trial_value[better]
+        step = np.where(better, step * 1.1, step * 0.5)
+        if np.all(step < 1e-9 * np.max(span)):
+            break
+    return x
+
+
+class TestRffLocalDescent:
+    @pytest.mark.parametrize("make_problem", [lambda: pipe_proxy(d=10),
+                                              lambda: hpo_proxy(seed=0)],
+                             ids=["pipe-proxy-10", "hpo-proxy"])
+    def test_descent_equals_reference_loop(self, make_problem):
+        problem = make_problem()
+        solver = make_solver("rff-local", problem.space, R=10, seed=5)
+        drive(solver, problem, 12)
+        rng = make_rng(8)
+        for _ in range(6):
+            starts = rng.uniform(solver._lo, solver._hi,
+                                 size=(solver.starts, len(solver._lo)))
+            got = solver._descend(starts)
+            assert got.tobytes() == _reference_descent(solver, starts).tobytes()
+            assert not np.array_equal(got, starts)
 
 
 class TestPwlPair:
