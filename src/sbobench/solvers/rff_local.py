@@ -47,7 +47,7 @@ class RffLocalSolver(Solver):
         x = starts.copy()
         step = 0.1 * np.max(span) * np.ones(len(x))
         phases = model.phases(x)
-        value = model.phase_features(phases) @ model.coefficients
+        value = model.phase_values(phases)
         slopes = model.phase_slopes(phases)
         for _ in range(self.descent_steps):
             grad = model.slope_gradient(slopes)
@@ -55,7 +55,7 @@ class RffLocalSolver(Solver):
             norm[norm == 0] = 1.0
             trial = np.clip(x - step[:, None] * grad / norm, self._lo, self._hi)
             trial_phases = model.phases(trial)
-            trial_value = model.phase_features(trial_phases) @ model.coefficients
+            trial_value = model.phase_values(trial_phases)
             better = trial_value < value
             x[better] = trial[better]
             value[better] = trial_value[better]

@@ -16,21 +16,11 @@ from sbobench.core.space import CATEGORICAL, CONTINUOUS, Point, SearchSpace
 
 def encode(space: SearchSpace, point: Point) -> np.ndarray:
     """Encode one point as a float vector (categoricals by index)."""
-    out = np.empty(space.dimension, dtype=float)
-    for i, v in enumerate(space.variables):
-        if v.kind == CATEGORICAL:
-            out[i] = v.categories.index(point.values[i])
-        else:
-            out[i] = float(point.values[i])
-    return out
+    return encode_points(space, (point,))[0]
 
 
 def encode_points(space: SearchSpace, points: Sequence[Point]) -> np.ndarray:
-    """Encode a sequence of points as an (n, d) matrix, equal to ``encode`` row by row.
-
-    Works column by column: for many points that is several times faster
-    than encoding each row, for one point it is slower.
-    """
+    """Encode a sequence of points as an (n, d) matrix, one column per variable."""
     out = np.empty((len(points), space.dimension))
     columns = zip(*(p.values for p in points))
     for i, (v, column) in enumerate(zip(space.variables, columns)):

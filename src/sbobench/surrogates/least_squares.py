@@ -74,13 +74,17 @@ class LeastSquaresModel(SurrogateModel):
         return 0 if self.W is None else self.W.shape[0]
 
     def phases(self, X: np.ndarray) -> np.ndarray:
-        """Hinge / Fourier phases ``X W' + b`` of an (m, d) matrix."""
-        return X @ self.W.T + self.b
+        """Hinge / Fourier phases ``X W' + b`` of one vector or an (m, d) matrix, as (m, p)."""
+        return np.atleast_2d(np.asarray(X, dtype=float)) @ self.W.T + self.b
 
-    def phase_features(self, A: np.ndarray) -> np.ndarray:
+    def _phase_features(self, A: np.ndarray) -> np.ndarray:
         """Design rows (constant column, then the basis) at phases ``A``."""
         basis = np.maximum(A, 0.0) if self.family == "piecewise_linear" else np.cos(A)
         return np.hstack([np.ones((A.shape[0], 1)), basis])
+
+    def phase_values(self, A: np.ndarray) -> np.ndarray:
+        """Predictions at phases ``A``."""
+        return self._phase_features(A) @ self.coefficients
 
     def phase_slopes(self, A: np.ndarray) -> np.ndarray:
         """Derivative of each basis function with respect to its phase."""
@@ -96,10 +100,12 @@ class LeastSquaresModel(SurrogateModel):
             return np.hstack([np.ones((X.shape[0], 1)), X])
         if self.family == "quadratic":
             return _quadratic_features(X)
-        return self.phase_features(self.phases(X))
+        return self._phase_features(self.phases(X))
 
     def predict_encoded(self, X: np.ndarray) -> np.ndarray:
-        return self.features(X) @ self.coefficients
+        if self.W is None:
+            return self.features(X) @ self.coefficients
+        return self.phase_values(self.phases(X))
 
     def gradient_encoded(self, x: np.ndarray) -> np.ndarray:
         """Gradient of the prediction at one encoded vector, or at each row
