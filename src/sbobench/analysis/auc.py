@@ -8,6 +8,8 @@ warm-up included), hence always in [0, 1].
 
 import numpy as np
 
+from ..core.records import require_one_problem
+
 
 def auc(logs, n_iterations: int) -> dict:
     """Per-solver AUC mean and standard deviation.
@@ -17,14 +19,9 @@ def auc(logs, n_iterations: int) -> dict:
     logs so that every solver is scored on the same scale.  Returns a
     mapping solver_id -> (mean_auc, std_auc).
     """
-    logs = list(logs)
-    if not logs:
-        raise ValueError("no run logs supplied")
+    logs = require_one_problem(logs)
     if n_iterations < 1:
         raise ValueError("n_iterations must be at least 1")
-    problems = {log.problem_id for log in logs}
-    if len(problems) > 1:
-        raise ValueError(f"logs mix problems: {sorted(problems)}")
     for log in logs:
         if len(log.records) < n_iterations:
             raise ValueError(

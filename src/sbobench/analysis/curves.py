@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..core import best_so_far
+from ..core.records import require_one_problem
 
 BASELINE_SOLVER = "randomsearch"
 
@@ -46,12 +47,7 @@ def normalize_curves(logs, R: int, baseline: str = BASELINE_SOLVER) -> dict:
     mapping solver_id -> NormalisedCurve covering iterations R+1
     onwards (truncated to each solver's shortest run).
     """
-    logs = list(logs)
-    if not logs:
-        raise ValueError("no run logs supplied")
-    problems = {log.problem_id for log in logs}
-    if len(problems) > 1:
-        raise ValueError(f"logs mix problems: {sorted(problems)}")
+    logs = require_one_problem(logs)
     groups = _group_by_solver(logs)
     if baseline not in groups:
         raise ValueError(f"baseline solver {baseline!r} has no runs")

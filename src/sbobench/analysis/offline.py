@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..surrogates import fit_boosted, fit_forest, fit_gp, fit_least_squares, mae
+from ..core.records import require_one_problem
+from ..surrogates import encode_points, fit_boosted, fit_forest, fit_gp, fit_least_squares, mae
 from ..surrogates.least_squares import FAMILIES as _LS_FAMILIES
 
 DEFAULT_GATHERING_SOLVER = "randomsearch"
@@ -34,16 +35,22 @@ class OfflineEvalResult:
     truncated: bool
 
 
-def _fit_family(space, data, family: str, fit_params: dict):
+def _fit_family(space, X, y, family: str, fit_params: dict):
     if family in _LS_FAMILIES:
-        return fit_least_squares(space, data, family=family, **fit_params)
+        return fit_least_squares(space, X, y, family=family, **fit_params)
     if family == "gp":
-        return fit_gp(space, data, **fit_params)
+        return fit_gp(space, X, y, **fit_params)
     if family == "forest":
-        return fit_forest(space, data, **fit_params)
+        return fit_forest(space, X, y, **fit_params)
     if family == "boosted":
-        return fit_boosted(space, data, **fit_params)
+        return fit_boosted(space, X, y, **fit_params)
     raise ValueError(f"unknown model family {family!r}")
+
+
+def _encoded(space, records):
+    """Encoded points and objectives of ``records``, as (X, y)."""
+    X = encode_points(space, [rec.point for rec in records])
+    return X, np.array([rec.objective for rec in records])
 
 
 def offline_eval(
@@ -62,11 +69,7 @@ def offline_eval(
         (e.g. ``n_basis``, ``ridge``, ``seed``).
     """
     log_pairs = list(log_pairs)
-    if not log_pairs:
-        raise ValueError("no run logs supplied")
-    problems = {log.problem_id for log, _ in log_pairs}
-    if len(problems) > 1:
-        raise ValueError(f"logs mix problems: {sorted(problems)}")
+    require_one_problem(log for log, _ in log_pairs)
     space = log_pairs[0][1]
 
     gathering = [log for log, _ in log_pairs if log.solver_id == gathering_solver]
@@ -79,24 +82,19 @@ def offline_eval(
                 f"need at least train_len={train_len}"
             )
 
-    pool = [
-        (rec.point, rec.objective)
-        for log, _ in log_pairs
-        for rec in log.records
-    ]
-    pool.sort(key=lambda pair: pair[1])
+    pool = sorted(
+        (rec for log, _ in log_pairs for rec in log.records), key=lambda rec: rec.objective
+    )
     truncated = len(pool) < test_keep
-    test_data = pool[:test_keep]
+    X_test, y_test = _encoded(space, pool[:test_keep])
 
     train_maes = []
     test_maes = []
     for log in gathering:
-        train_data = [
-            (rec.point, rec.objective) for rec in log.records[:train_len]
-        ]
-        model = _fit_family(space, train_data, family, fit_params)
-        train_maes.append(mae(model, train_data))
-        test_maes.append(mae(model, test_data))
+        X, y = _encoded(space, log.records[:train_len])
+        model = _fit_family(space, X, y, family, fit_params)
+        train_maes.append(mae(model, X, y))
+        test_maes.append(mae(model, X_test, y_test))
 
     return OfflineEvalResult(
         family=family,
@@ -105,6 +103,6 @@ def offline_eval(
         test_mae_mean=float(np.mean(test_maes)),
         test_mae_std=float(np.std(test_maes)),
         n_runs=len(gathering),
-        test_size=len(test_data),
+        test_size=len(y_test),
         truncated=truncated,
     )

@@ -14,6 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..core.records import require_one_problem
+
 DEFAULT_EVAL_TIME_RANGE = (1.2e-4, 1.296e5)
 DEFAULT_BUDGET_RANGE = (4.9e-4, 1.296e5)
 DEFAULT_AXIS_COUNT = 10
@@ -77,12 +79,7 @@ def replay_count(solver_times: np.ndarray, eval_time: float, budget: float) -> i
 
 def replay(logs, budgets=None, eval_times=None) -> ReplayGrid:
     """Re-time logged runs over a grid of budgets and evaluation costs."""
-    logs = list(logs)
-    if not logs:
-        raise ValueError("no run logs supplied")
-    problems = {log.problem_id for log in logs}
-    if len(problems) > 1:
-        raise ValueError(f"logs mix problems: {sorted(problems)}")
+    logs = require_one_problem(logs)
     budgets = default_budgets() if budgets is None else tuple(float(b) for b in budgets)
     eval_times = (
         default_eval_times() if eval_times is None else tuple(float(t) for t in eval_times)

@@ -87,6 +87,17 @@ class RunLog:
         return values
 
 
+def require_one_problem(logs) -> list[RunLog]:
+    """``logs`` as a list; raises unless it is non-empty and of one problem."""
+    logs = list(logs)
+    if not logs:
+        raise ValueError("no run logs supplied")
+    problems = {log.problem_id for log in logs}
+    if len(problems) > 1:
+        raise ValueError(f"logs mix problems: {sorted(problems)}")
+    return logs
+
+
 def best_so_far(log: RunLog) -> np.ndarray:
     """Running minimum of the objectives, one entry per iteration."""
     if not log.records:

@@ -27,7 +27,11 @@ from sbobench.core.space import (
     space_to_jsonable,
 )
 
-_FIXED_COLUMNS = ("iteration", "phase", "objective", "eval_time_s", "solver_time_s")
+
+def _columns(space: SearchSpace) -> list[str]:
+    """The CSV header: iteration, phase, one column per variable, then the result."""
+    return ["iteration", "phase", *(v.name for v in space.variables),
+            "objective", "eval_time_s", "solver_time_s"]
 
 
 def _format_value(kind: str, value) -> str:
@@ -64,10 +68,9 @@ def write_run_log(log: RunLog, space: SearchSpace, csv_path, extra: dict | None 
     under the sidecar's ``"harness"`` key.
     """
     csv_path = Path(csv_path)
-    names = [v.name for v in space.variables]
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["iteration", "phase", *names, "objective", "eval_time_s", "solver_time_s"])
+    writer.writerow(_columns(space))
     for rec in log.records:
         row = [str(rec.iteration), rec.phase]
         for v, value in zip(space.variables, rec.point.values):
@@ -105,20 +108,18 @@ def read_run_log(csv_path) -> tuple[RunLog, SearchSpace]:
     with open(sidecar_path(csv_path), encoding="utf-8") as fh:
         header = json.load(fh)
     space = space_from_jsonable(header["variables"])
-    names = [v.name for v in space.variables]
 
     records = []
     with open(csv_path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         columns = next(reader)
-        expected = ["iteration", "phase", *names, "objective", "eval_time_s", "solver_time_s"]
-        if columns != expected:
+        if columns != _columns(space):
             raise ValueError(f"unexpected columns in {csv_path}: {columns}")
         for row in reader:
             iteration = int(row[0])
             phase = row[1]
             values = []
-            for v, cell in zip(space.variables, row[2 : 2 + len(names)]):
+            for v, cell in zip(space.variables, row[2 : 2 + space.dimension]):
                 if v.kind == CONTINUOUS:
                     values.append(float(cell))
                 elif v.kind == INTEGER:
@@ -127,7 +128,7 @@ def read_run_log(csv_path) -> tuple[RunLog, SearchSpace]:
                     values.append(cell)
             vals = tuple(values)
             point = Point(values=vals, active=space.activity(vals))
-            objective, eval_time, solver_time = (float(c) for c in row[2 + len(names) :])
+            objective, eval_time, solver_time = (float(c) for c in row[2 + space.dimension :])
             records.append(
                 EvaluationRecord(
                     iteration=iteration,

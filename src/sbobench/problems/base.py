@@ -86,17 +86,19 @@ class _DelayedProblem(Problem):
 
     def evaluate(self, point, virtual: bool = False) -> tuple[float, float]:
         objective, eval_time = self._inner.evaluate(point, virtual=virtual)
-        if not virtual:
-            time.sleep(self._delay)
-        return objective, eval_time + self._delay
+        if virtual:
+            return objective, eval_time + self._delay
+        start = time.perf_counter()
+        time.sleep(self._delay)
+        return objective, eval_time + (time.perf_counter() - start)
 
 
 def with_delay(problem: Problem, delay: float) -> Problem:
     """Make `problem` artificially expensive by `delay` seconds per call.
 
-    Objectives are unchanged; reported eval_time grows by exactly
-    `delay`.  In real mode the wrapper actually sleeps; in virtual mode
-    the delay is only added to the reported time.
+    Objectives are unchanged.  In real mode the wrapper sleeps for
+    `delay` and adds the measured sleep (at least `delay`) to the
+    reported eval_time; in virtual mode it adds exactly `delay`.
     """
     if delay < 0:
         raise ValueError("delay must be non-negative")

@@ -78,7 +78,8 @@ class Solver:
         self.history.append((point, y))
         self._encoded_rows.append(encode(self.space, point))
         self._pending = None
-        self._refit()
+        if len(self.history) >= self.R:
+            self._refit()
 
     # -- hooks -----------------------------------------------------------
 
@@ -86,7 +87,7 @@ class Solver:
         raise NotImplementedError
 
     def _refit(self) -> None:
-        pass
+        """Refit the model; called on each observation once ``R`` have arrived."""
 
     # -- shared helpers ---------------------------------------------------
 

@@ -37,9 +37,7 @@ class ForestUcbSolver(Solver):
         self.elites = int(elites)
 
     def _refit(self) -> None:
-        if len(self.history) < self.R:
-            return
-        self.model = fit_forest(self.space, self.history,
+        self.model = fit_forest(self.space, *self._encoded_history(),
                                 n_trees=self.n_trees, seed=self._fit_seed())
 
     def _acquire(self):

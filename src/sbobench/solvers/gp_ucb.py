@@ -19,12 +19,7 @@ rather than to zero.
 import numpy as np
 
 from ..core.rng import derive_seed
-from ..surrogates.gp import (
-    GaussianProcessModel,
-    _pairwise_dists,
-    default_params,
-    optimise_hyperparameters,
-)
+from ..surrogates.gp import fit_gp
 from .acquisition import DEFAULT_BETA, ucb_score
 from .base import Solver
 
@@ -48,20 +43,15 @@ class GpUcbSolver(Solver):
 
     def _refit(self) -> None:
         n = len(self.history)
-        if n < self.R:
-            return
         X, y = self._encoded_history()
         self._offset = float(y.mean())
-        box_diag = float(np.sqrt(np.sum((self._hi - self._lo) ** 2)))
-        if self._params is None or (n - self.R) % self.hyper_interval == 0:
-            dists = _pairwise_dists(X, X)
-            init = self._params or default_params(self.space, y - self._offset)
-            self._params = optimise_hyperparameters(
-                dists, y - self._offset, box_diag, init,
-                multistarts=self.multistarts, steps=self.steps,
-                seed=derive_seed(self.seed, "hyperopt", n),
-            )
-        self.model = GaussianProcessModel(self.space, self._params, X, y - self._offset)
+        self.model = fit_gp(
+            self.space, X, y - self._offset, params=self._params,
+            optimise_hypers=self._params is None or (n - self.R) % self.hyper_interval == 0,
+            multistarts=self.multistarts, steps=self.steps,
+            seed=derive_seed(self.seed, "hyperopt", n),
+        )
+        self._params = self.model.params
 
     def _score(self, vectors: np.ndarray) -> tuple:
         mean, var = self.model.predict_variance_encoded(vectors)

@@ -34,10 +34,8 @@ class PwlSolver(Solver):
         self.grid = int(grid)
 
     def _refit(self) -> None:
-        if len(self.history) < self.R:
-            return
         self.model = fit_least_squares(
-            self.space, self.history, family="piecewise_linear",
+            self.space, *self._encoded_history(), family="piecewise_linear",
             ridge=self.ridge, n_basis=self.n_basis, seed=self._fit_seed(),
         )
 

@@ -31,10 +31,8 @@ class RffLocalSolver(Solver):
         self.explore_scale = float(explore_scale)
 
     def _refit(self) -> None:
-        if len(self.history) < self.R:
-            return
         self.model = fit_least_squares(
-            self.space, self.history, family="random_fourier",
+            self.space, *self._encoded_history(), family="random_fourier",
             ridge=self.ridge, n_basis=self.n_basis, seed=self._fit_seed(),
         )
 

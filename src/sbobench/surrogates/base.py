@@ -69,10 +69,8 @@ def load_model(path) -> SurrogateModel:
     return _LOADERS[family](space, payload)
 
 
-def mae(model: SurrogateModel, data: Sequence[tuple[Point, float]]) -> float:
-    """Mean absolute error of the model on (point, objective) pairs."""
-    if not data:
-        raise ValueError("mae needs at least one pair")
-    points = [p for p, _ in data]
-    y = np.array([t for _, t in data], dtype=float)
-    return float(np.mean(np.abs(model.predict(points) - y)))
+def mae(model: SurrogateModel, X: np.ndarray, y: np.ndarray) -> float:
+    """Mean absolute error of the model at encoded rows ``X`` against targets ``y``."""
+    if len(X) == 0:
+        raise ValueError("mae needs at least one row")
+    return float(np.mean(np.abs(model.predict_encoded(X) - y)))

@@ -1,12 +1,9 @@
 """Stagewise gradient-boosted regression trees (squared-error loss)."""
 
-from typing import Sequence
-
 import numpy as np
 
-from sbobench.core.space import Point, SearchSpace
+from sbobench.core.space import SearchSpace
 from sbobench.surrogates.base import SurrogateModel, register_family
-from sbobench.surrogates.encoding import encode_points
 from sbobench.surrogates.trees import RegressionTree, build_regression_tree
 
 
@@ -52,25 +49,24 @@ register_family(
 
 def fit_boosted(
     space: SearchSpace,
-    data: Sequence[tuple[Point, float]],
+    X: np.ndarray,
+    y: np.ndarray,
     n_rounds: int = 100,
     learning_rate: float = 0.3,
     max_depth: int = 6,
 ) -> BoostedTreesModel:
-    """Fit residuals stagewise with depth-limited trees.
+    """Fit depth-limited trees stagewise to targets ``y`` at encoded rows ``X``.
 
     Starts from the target mean; each round fits one tree to the current
     residuals and adds it scaled by ``learning_rate``.  Tree growth is
     fully deterministic, so the fit takes no seed.
     """
-    if len(data) < 2:
-        raise ValueError("boosting needs at least two pairs")
+    if len(X) < 2:
+        raise ValueError("boosting needs at least two rows")
     if n_rounds < 0:
         raise ValueError("n_rounds must be non-negative")
     if not (0.0 < learning_rate <= 1.0):
         raise ValueError("learning_rate must lie in (0, 1]")
-    X = encode_points(space, [p for p, _ in data])
-    y = np.array([t for _, t in data], dtype=float)
     base = float(y.mean())
     residual = y - base
     losses = [float(np.mean(residual**2))]

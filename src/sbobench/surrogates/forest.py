@@ -1,13 +1,10 @@
 """Bagged regression forest with across-tree predictive variance."""
 
-from typing import Sequence
-
 import numpy as np
 
 from sbobench.core.rng import make_rng
-from sbobench.core.space import Point, SearchSpace
+from sbobench.core.space import SearchSpace
 from sbobench.surrogates.base import SurrogateModel, register_family
-from sbobench.surrogates.encoding import encode_points
 from sbobench.surrogates.trees import RegressionTree, build_regression_tree
 
 
@@ -54,12 +51,13 @@ register_family(
 
 def fit_forest(
     space: SearchSpace,
-    data: Sequence[tuple[Point, float]],
+    X: np.ndarray,
+    y: np.ndarray,
     n_trees: int = 24,
     min_leaf: int = 1,
     seed: int = 0,
 ) -> RandomForestModel:
-    """Fit a bagged forest of axis-aligned squared-error trees.
+    """Fit a bagged forest of squared-error trees to targets ``y`` at encoded rows ``X``.
 
     The first tree is grown on the full sample (so a one-tree forest
     with ``min_leaf=1`` memorises its training data exactly); the
@@ -68,10 +66,8 @@ def fit_forest(
     """
     if n_trees < 1:
         raise ValueError("n_trees must be at least 1")
-    if len(data) < min_leaf:
+    if len(X) < min_leaf:
         raise ValueError("not enough data for the requested min_leaf")
-    X = encode_points(space, [p for p, _ in data])
-    y = np.array([t for _, t in data], dtype=float)
     rng = make_rng(seed)
     trees = [build_regression_tree(X, y, min_leaf=min_leaf)]
     n = X.shape[0]

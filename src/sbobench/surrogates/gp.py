@@ -26,9 +26,9 @@ import numpy as np
 from scipy.linalg import cho_solve, cholesky, solve_triangular
 
 from sbobench.core.rng import make_rng
-from sbobench.core.space import Point, SearchSpace
+from sbobench.core.space import SearchSpace
 from sbobench.surrogates.base import FitError, SurrogateModel, register_family
-from sbobench.surrogates.encoding import encode_points, encoded_bounds
+from sbobench.surrogates.encoding import encoded_bounds
 
 _SQRT5 = math.sqrt(5.0)
 NOISE_FLOOR = 1e-8
@@ -247,34 +247,38 @@ def optimise_hyperparameters(
     return MaternParams(ell, sf2, max(sn2, NOISE_FLOOR))
 
 
-def default_params(space: SearchSpace, y: Sequence[float]) -> MaternParams:
+def _box_diagonal(space: SearchSpace) -> float:
     lower, upper = encoded_bounds(space)
-    diag = float(np.linalg.norm(upper - lower))
+    return float(np.linalg.norm(upper - lower))
+
+
+def default_params(space: SearchSpace, y: Sequence[float]) -> MaternParams:
     y_var = max(float(np.var(np.asarray(y, dtype=float))), 1e-12)
-    return MaternParams(0.25 * diag, y_var, 1e-4 * y_var + NOISE_FLOOR)
+    return MaternParams(0.25 * _box_diagonal(space), y_var, 1e-4 * y_var + NOISE_FLOOR)
 
 
 def fit_gp(
     space: SearchSpace,
-    data: Sequence[tuple[Point, float]],
+    X: np.ndarray,
+    y: np.ndarray,
     params: MaternParams | None = None,
     optimise_hypers: bool = False,
     multistarts: int = 8,
     steps: int = 200,
     seed: int = 0,
 ) -> GaussianProcessModel:
-    """Fit the GP, optionally optimising its hyperparameters first."""
-    if not data:
-        raise ValueError("fit needs at least one pair")
-    X = encode_points(space, [p for p, _ in data])
-    y = np.array([t for _, t in data], dtype=float)
+    """Fit the GP on encoded rows ``X`` and targets ``y``.
+
+    ``params`` (default: :func:`default_params`) are used as they are,
+    or, with ``optimise_hypers``, as the warm start of the search.
+    """
+    if len(X) == 0:
+        raise ValueError("fit needs at least one row")
     if params is None:
         params = default_params(space, y)
     if optimise_hypers:
-        lower, upper = encoded_bounds(space)
-        diag = float(np.linalg.norm(upper - lower))
-        dists = _pairwise_dists(X, X)
         params = optimise_hyperparameters(
-            dists, y, diag, init=params, multistarts=multistarts, steps=steps, seed=seed
+            _pairwise_dists(X, X), y, _box_diagonal(space), init=params,
+            multistarts=multistarts, steps=steps, seed=seed,
         )
     return GaussianProcessModel(space, params, X, y)

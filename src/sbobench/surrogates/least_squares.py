@@ -18,15 +18,13 @@ minimiser.  Either system is solved with a Cholesky factorisation plus
 one step of iterative refinement.
 """
 
-from typing import Sequence
-
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from sbobench.core.rng import make_rng
-from sbobench.core.space import Point, SearchSpace
+from sbobench.core.space import SearchSpace
 from sbobench.surrogates.base import FitError, SurrogateModel, register_family
-from sbobench.surrogates.encoding import encode_points, encoded_bounds
+from sbobench.surrogates.encoding import encoded_bounds
 
 FAMILIES = ("linear", "quadratic", "piecewise_linear", "random_fourier")
 
@@ -155,13 +153,14 @@ for _family in FAMILIES:
 
 def fit_least_squares(
     space: SearchSpace,
-    data: Sequence[tuple[Point, float]],
+    X: np.ndarray,
+    y: np.ndarray,
     family: str = "linear",
     ridge: float = 1e-6,
     n_basis: int = 200,
     seed: int = 0,
 ) -> LeastSquaresModel:
-    """Fit one of the four basis families on (point, objective) pairs.
+    """Fit one of the four basis families on encoded rows ``X`` and targets ``y``.
 
     :param ridge: coefficient penalty weight; with ``ridge <= 0`` the fit
         only succeeds for full-rank designs.
@@ -173,10 +172,8 @@ def fit_least_squares(
     """
     if family not in FAMILIES:
         raise ValueError(f"unknown least-squares family {family!r}")
-    if not data:
-        raise ValueError("fit needs at least one pair")
-    X = encode_points(space, [p for p, _ in data])
-    y = np.array([t for _, t in data], dtype=float)
+    if len(X) == 0:
+        raise ValueError("fit needs at least one row")
 
     W = b = None
     if family in ("piecewise_linear", "random_fourier"):

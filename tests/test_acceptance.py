@@ -50,7 +50,7 @@ def test_criterion_01_gp_matches_dense_solve():
               for a, b, c in rng.uniform(-5.0, 5.0, size=(25, 3))]
     targets = [float(np.sin(p.values[0]) + 0.5 * p.values[1] ** 2 - p.values[2])
                for p in points]
-    model = fit_gp(space, list(zip(points, targets)))
+    model = fit_gp(space, encode_points(space, points), np.array(targets))
 
     X = encode_points(space, points)
     queries = rng.uniform(X.min(), X.max(), size=(15, 3))
@@ -88,7 +88,8 @@ def test_criterion_02_least_squares_normal_equation_residual():
             targets = rng.normal(size=n)
             model = fit_least_squares(
                 space,
-                list(zip(points, targets)),
+                encode_points(space, points),
+                targets,
                 family=family,
                 n_basis=40,
                 seed=trial,

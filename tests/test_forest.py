@@ -23,7 +23,7 @@ def _dataset(space, n, seed, fn):
     rng = make_rng(seed)
     pts = [sample_uniform(space, rng) for _ in range(n)]
     X = encode_points(space, pts)
-    return list(zip(pts, fn(X))), pts
+    return pts, X, fn(X)
 
 
 class TestRegressionTree:
@@ -89,44 +89,42 @@ class TestRegressionTree:
 
 class TestForest:
     def test_constant_target_gives_constant_mean_zero_variance(self, square):
-        data, pts = _dataset(square, 25, 0, lambda X: np.full(len(X), 7.0))
-        model = fit_forest(square, data, n_trees=8, seed=1)
+        pts, X, y = _dataset(square, 25, 0, lambda X: np.full(len(X), 7.0))
+        model = fit_forest(square, X, y, n_trees=8, seed=1)
         mean, var = model.predict_with_variance(pts)
         np.testing.assert_allclose(mean, 7.0, atol=1e-12)
         np.testing.assert_allclose(var, 0.0, atol=1e-12)
 
     def test_single_tree_forest_memorises(self, square):
-        data, pts = _dataset(square, 40, 2, lambda X: np.sin(7 * X[:, 0]) * X[:, 1])
-        model = fit_forest(square, data, n_trees=1, min_leaf=1, seed=3)
-        assert mae(model, data) < 1e-12
+        _, X, y = _dataset(square, 40, 2, lambda X: np.sin(7 * X[:, 0]) * X[:, 1])
+        model = fit_forest(square, X, y, n_trees=1, min_leaf=1, seed=3)
+        assert mae(model, X, y) < 1e-12
 
     def test_same_seed_reproduces_predictions(self, square):
-        data, pts = _dataset(square, 30, 4, lambda X: X[:, 0] ** 2)
-        a = fit_forest(square, data, n_trees=12, seed=9)
-        b = fit_forest(square, data, n_trees=12, seed=9)
-        grid, _ = _dataset(square, 50, 11, lambda X: X[:, 0])
-        qpts = [p for p, _ in grid]
+        _, X, y = _dataset(square, 30, 4, lambda X: X[:, 0] ** 2)
+        a = fit_forest(square, X, y, n_trees=12, seed=9)
+        b = fit_forest(square, X, y, n_trees=12, seed=9)
+        qpts, _, _ = _dataset(square, 50, 11, lambda X: X[:, 0])
         np.testing.assert_array_equal(a.predict(qpts), b.predict(qpts))
 
     def test_different_seeds_differ(self, square):
-        data, _ = _dataset(square, 30, 4, lambda X: np.sin(9 * X[:, 0]))
-        a = fit_forest(square, data, n_trees=12, seed=1)
-        b = fit_forest(square, data, n_trees=12, seed=2)
-        grid, _ = _dataset(square, 50, 11, lambda X: X[:, 0])
-        qpts = [p for p, _ in grid]
+        _, X, y = _dataset(square, 30, 4, lambda X: np.sin(9 * X[:, 0]))
+        a = fit_forest(square, X, y, n_trees=12, seed=1)
+        b = fit_forest(square, X, y, n_trees=12, seed=2)
+        qpts, _, _ = _dataset(square, 50, 11, lambda X: X[:, 0])
         assert not np.array_equal(a.predict(qpts), b.predict(qpts))
 
     def test_variance_positive_away_from_data(self, square):
-        data, _ = _dataset(square, 40, 6, lambda X: np.sin(6 * X[:, 0]) + X[:, 1])
-        model = fit_forest(square, data, n_trees=16, seed=5)
+        _, X, y = _dataset(square, 40, 6, lambda X: np.sin(6 * X[:, 0]) + X[:, 1])
+        model = fit_forest(square, X, y, n_trees=16, seed=5)
         rng = make_rng(7)
         far = [sample_uniform(square, rng) for _ in range(100)]
         _, var = model.predict_with_variance(far)
         assert var.max() > 0.0
 
     def test_round_trip_serialisation(self, square, tmp_path):
-        data, pts = _dataset(square, 20, 8, lambda X: X[:, 0] - X[:, 1])
-        model = fit_forest(square, data, n_trees=6, seed=4)
+        pts, X, y = _dataset(square, 20, 8, lambda X: X[:, 0] - X[:, 1])
+        model = fit_forest(square, X, y, n_trees=6, seed=4)
         model.save(tmp_path / "forest.json")
         back = load_model(tmp_path / "forest.json")
         np.testing.assert_array_equal(model.predict(pts), back.predict(pts))

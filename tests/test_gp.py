@@ -35,7 +35,7 @@ def _train_data(space, n, seed, fn):
     rng = make_rng(seed)
     pts = [sample_uniform(space, rng) for _ in range(n)]
     X = encode_points(space, pts)
-    return list(zip(pts, fn(X))), pts, X
+    return pts, X, fn(X)
 
 
 def _smooth(X):
@@ -71,23 +71,21 @@ class TestKernel:
 
 class TestPosterior:
     def test_interpolates_training_data_at_tiny_noise(self, cube3):
-        data, pts, _ = _train_data(cube3, 12, 5, _smooth)
-        model = fit_gp(cube3, data, params=MaternParams(0.8, 1.0, 1e-10))
+        pts, X, y = _train_data(cube3, 12, 5, _smooth)
+        model = fit_gp(cube3, X, y, params=MaternParams(0.8, 1.0, 1e-10))
         mean, var = model.predict_with_variance(pts)
-        y = np.array([t for _, t in data])
         assert np.max(np.abs(mean - y)) < 1e-5
         assert np.max(var) < 1e-6
 
     def test_matches_dense_solve_oracle(self, cube3):
         # Direct dense linear-algebra route, written independently of
         # the Cholesky implementation.
-        data, pts, X = _train_data(cube3, 15, 9, _smooth)
+        _, X, y = _train_data(cube3, 15, 9, _smooth)
         params = MaternParams(0.6, 1.3, 1e-4)
-        model = fit_gp(cube3, data, params=params)
+        model = fit_gp(cube3, X, y, params=params)
         rng = make_rng(10)
         Q = encode_points(cube3, [sample_uniform(cube3, rng) for _ in range(40)])
 
-        y = np.array([t for _, t in data])
         K = params.signal_var * matern52(_pairwise_dists(X, X), params.lengthscale)
         K += params.noise_var * np.eye(15)
         Ks = params.signal_var * matern52(_pairwise_dists(Q, X), params.lengthscale)
@@ -100,8 +98,8 @@ class TestPosterior:
         np.testing.assert_allclose(var, var_oracle, atol=1e-8, rtol=0)
 
     def test_variance_is_nonnegative_everywhere(self, cube3):
-        data, _, _ = _train_data(cube3, 25, 2, _smooth)
-        model = fit_gp(cube3, data, params=MaternParams(0.5, 2.0, 1e-9))
+        _, X, y = _train_data(cube3, 25, 2, _smooth)
+        model = fit_gp(cube3, X, y, params=MaternParams(0.5, 2.0, 1e-9))
         rng = make_rng(3)
         Q = encode_points(cube3, [sample_uniform(cube3, rng) for _ in range(300)])
         _, var = model.predict_variance_encoded(Q)
@@ -118,23 +116,23 @@ class TestPosterior:
 
 class TestHyperopt:
     def test_optimised_lml_not_worse_than_heuristic(self, cube3):
-        data, _, _ = _train_data(cube3, 20, 7, _smooth)
-        plain = fit_gp(cube3, data)
-        tuned = fit_gp(cube3, data, optimise_hypers=True, multistarts=4, steps=60, seed=1)
+        _, X, y = _train_data(cube3, 20, 7, _smooth)
+        plain = fit_gp(cube3, X, y)
+        tuned = fit_gp(cube3, X, y, optimise_hypers=True, multistarts=4, steps=60, seed=1)
         assert tuned.log_marginal_likelihood() >= plain.log_marginal_likelihood() - 1e-9
 
     def test_lengthscale_recovery_order_of_magnitude(self, cube3):
         # A fast-varying target should be assigned a shorter lengthscale
         # than a slowly varying one.
-        fast, _, _ = _train_data(cube3, 40, 8, lambda X: np.sin(12.0 * X[:, 0]))
-        slow, _, _ = _train_data(cube3, 40, 8, lambda X: 0.3 * X[:, 0])
-        m_fast = fit_gp(cube3, fast, optimise_hypers=True, multistarts=4, steps=80, seed=0)
-        m_slow = fit_gp(cube3, slow, optimise_hypers=True, multistarts=4, steps=80, seed=0)
+        _, X_fast, fast = _train_data(cube3, 40, 8, lambda X: np.sin(12.0 * X[:, 0]))
+        _, X_slow, slow = _train_data(cube3, 40, 8, lambda X: 0.3 * X[:, 0])
+        m_fast = fit_gp(cube3, X_fast, fast, optimise_hypers=True, multistarts=4, steps=80, seed=0)
+        m_slow = fit_gp(cube3, X_slow, slow, optimise_hypers=True, multistarts=4, steps=80, seed=0)
         assert m_fast.params.lengthscale < m_slow.params.lengthscale
 
     def test_noise_floor_respected(self, cube3):
-        data, _, _ = _train_data(cube3, 15, 4, _smooth)
-        model = fit_gp(cube3, data, optimise_hypers=True, multistarts=3, steps=40, seed=2)
+        _, X, y = _train_data(cube3, 15, 4, _smooth)
+        model = fit_gp(cube3, X, y, optimise_hypers=True, multistarts=3, steps=40, seed=2)
         assert model.params.noise_var >= 1e-8
 
 
@@ -207,8 +205,8 @@ def test_hyperparameter_search_equals_reference_loop(d, n):
 
 
 def test_round_trip_serialisation(cube3, tmp_path):
-    data, _, _ = _train_data(cube3, 10, 1, _smooth)
-    model = fit_gp(cube3, data, params=MaternParams(0.7, 1.1, 1e-6))
+    _, X, y = _train_data(cube3, 10, 1, _smooth)
+    model = fit_gp(cube3, X, y, params=MaternParams(0.7, 1.1, 1e-6))
     model.save(tmp_path / "gp.json")
     back = load_model(tmp_path / "gp.json")
     rng = make_rng(2)

@@ -12,7 +12,8 @@ from sbobench.surrogates.least_squares import FAMILIES
 
 
 def _line_data(space, slope=2.0, intercept=1.0, xs=(0.0, 0.5, 1.0, 2.0, 4.0)):
-    return [(space.make_point({"x": x}), slope * x + intercept) for x in xs]
+    X = encode_points(space, [space.make_point({"x": x}) for x in xs])
+    return X, slope * X[:, 0] + intercept
 
 
 @pytest.fixture
@@ -22,24 +23,26 @@ def line_space():
 
 class TestLinear:
     def test_recovers_affine_target(self, line_space):
-        model = fit_least_squares(line_space, _line_data(line_space), family="linear", ridge=1e-12)
+        model = fit_least_squares(line_space, *_line_data(line_space), family="linear",
+                                  ridge=1e-12)
         pred = model.predict([line_space.make_point({"x": 3.0})])
         assert abs(pred[0] - 7.0) <= 1e-9
 
     def test_duplicated_dataset_gives_identical_coefficients(self, line_space):
         # With no penalty the optimum is invariant to duplicating every
         # observation (the normal equations just scale by two).
-        data = _line_data(line_space)
-        a = fit_least_squares(line_space, data, family="linear", ridge=0.0)
-        b = fit_least_squares(line_space, data + data, family="linear", ridge=0.0)
+        X, y = _line_data(line_space)
+        a = fit_least_squares(line_space, X, y, family="linear", ridge=0.0)
+        b = fit_least_squares(line_space, np.vstack([X, X]), np.concatenate([y, y]),
+                              family="linear", ridge=0.0)
         np.testing.assert_allclose(a.coefficients, b.coefficients, rtol=0, atol=1e-10)
 
     def test_rank_deficient_without_ridge_raises(self, line_space):
-        data = [(line_space.make_point({"x": 1.0}), 2.0)] * 3  # single distinct input
+        X, y = np.ones((3, 1)), np.full(3, 2.0)  # single distinct input
         with pytest.raises(FitError, match="regularisation required"):
-            fit_least_squares(line_space, data, family="linear", ridge=0.0)
+            fit_least_squares(line_space, X, y, family="linear", ridge=0.0)
         # The same design fits fine once regularised.
-        fit_least_squares(line_space, data, family="linear", ridge=1e-6)
+        fit_least_squares(line_space, X, y, family="linear", ridge=1e-6)
 
 
 class TestQuadratic:
@@ -48,9 +51,8 @@ class TestQuadratic:
         pts = [sample_uniform(box_space, rng) for _ in range(30)]
         X = encode_points(box_space, pts)
         y = 1.5 - 2.0 * X[:, 0] + 0.5 * X[:, 1] + 3.0 * X[:, 0] ** 2 - X[:, 0] * X[:, 1]
-        data = list(zip(pts, y))
-        model = fit_least_squares(box_space, data, family="quadratic", ridge=1e-12)
-        assert mae(model, data) < 1e-8
+        model = fit_least_squares(box_space, X, y, family="quadratic", ridge=1e-12)
+        assert mae(model, X, y) < 1e-8
 
 
 class TestPiecewiseLinear:
@@ -59,16 +61,15 @@ class TestPiecewiseLinear:
         pts = [sample_uniform(box_space, rng) for _ in range(50)]
         X = encode_points(box_space, pts)
         y = np.sin(3 * X[:, 0]) + 0.5 * np.abs(X[:, 1])
-        data = list(zip(pts, y))
         model = fit_least_squares(
-            box_space, data, family="piecewise_linear", ridge=1e-8, n_basis=120, seed=5
+            box_space, X, y, family="piecewise_linear", ridge=1e-8, n_basis=120, seed=5
         )
-        assert mae(model, data) < 1e-3
+        assert mae(model, X, y) < 1e-3
 
     def test_hinge_weights_come_from_signed_grid(self, box_space):
         model = fit_least_squares(
             box_space,
-            _line_data_2d(box_space),
+            *_line_data_2d(box_space),
             family="piecewise_linear",
             ridge=1e-6,
             n_basis=64,
@@ -113,7 +114,7 @@ def _line_data_2d(space, n=20, seed=1):
     rng = make_rng(seed)
     pts = [sample_uniform(space, rng) for _ in range(n)]
     X = encode_points(space, pts)
-    return list(zip(pts, (X @ [1.0, -2.0] + 0.5).tolist()))
+    return X, X @ [1.0, -2.0] + 0.5
 
 
 class TestRandomFourier:
@@ -122,16 +123,15 @@ class TestRandomFourier:
         pts = [sample_uniform(box_space, rng) for _ in range(80)]
         X = encode_points(box_space, pts)
         y = np.cos(2.0 * X[:, 0]) * np.sin(X[:, 1])
-        data = list(zip(pts, y))
         model = fit_least_squares(
-            box_space, data, family="random_fourier", ridge=1e-8, n_basis=200, seed=2
+            box_space, X, y, family="random_fourier", ridge=1e-8, n_basis=200, seed=2
         )
-        assert mae(model, data) < 1e-3
+        assert mae(model, X, y) < 1e-3
 
     def test_same_seed_same_basis(self, box_space):
-        data = _line_data_2d(box_space)
-        m1 = fit_least_squares(box_space, data, family="random_fourier", n_basis=32, seed=7)
-        m2 = fit_least_squares(box_space, data, family="random_fourier", n_basis=32, seed=7)
+        X, y = _line_data_2d(box_space)
+        m1 = fit_least_squares(box_space, X, y, family="random_fourier", n_basis=32, seed=7)
+        m2 = fit_least_squares(box_space, X, y, family="random_fourier", n_basis=32, seed=7)
         np.testing.assert_array_equal(m1.W, m2.W)
         np.testing.assert_array_equal(m1.coefficients, m2.coefficients)
 
@@ -145,12 +145,12 @@ class TestOptimality:
             rng = make_rng(100 + seed)
             pts = [sample_uniform(box_space, rng) for _ in range(40)]
             y = np.asarray(rng.normal(size=40))
-            data = list(zip(pts, y))
+            X = encode_points(box_space, pts)
             ridge = 1e-6
             model = fit_least_squares(
-                box_space, data, family=family, ridge=ridge, n_basis=60, seed=seed
+                box_space, X, y, family=family, ridge=ridge, n_basis=60, seed=seed
             )
-            phi = model.features(encode_points(box_space, pts))
+            phi = model.features(X)
             residual = phi.T @ (phi @ model.coefficients - y) + ridge * model.coefficients
             assert np.max(np.abs(residual)) <= 1e-6
 
@@ -167,12 +167,12 @@ class TestDualSolve:
             rng = make_rng(500 + seed)
             pts = [sample_uniform(problem.space, rng) for _ in range(n)]
             y = np.array([problem.evaluate(p, virtual=True)[0] for p in pts])
+            X = encode_points(problem.space, pts)
             model = fit_least_squares(
-                problem.space, list(zip(pts, y)), family=family, ridge=ridge,
-                n_basis=n_basis, seed=seed,
+                problem.space, X, y, family=family, ridge=ridge, n_basis=n_basis, seed=seed,
             )
             assert model.coefficients.shape == (n_basis + 1,)
-            phi = model.features(encode_points(problem.space, pts))
+            phi = model.features(X)
             residual = phi.T @ (phi @ model.coefficients - y) + ridge * model.coefficients
             assert np.max(np.abs(residual)) <= 1e-6
 
@@ -185,25 +185,25 @@ class TestDualSolve:
             return real(a, *args, **kwargs)
 
         monkeypatch.setattr(least_squares, "cho_factor", spy)
-        data = _line_data_2d(box_space, n=20)
-        fit_least_squares(box_space, data, family="piecewise_linear", n_basis=64, seed=1)
-        fit_least_squares(box_space, data, family="random_fourier", n_basis=64, seed=1)
-        fit_least_squares(box_space, data, family="piecewise_linear", n_basis=8, seed=1)
-        fit_least_squares(box_space, data, family="quadratic")
+        X, y = _line_data_2d(box_space, n=20)
+        fit_least_squares(box_space, X, y, family="piecewise_linear", n_basis=64, seed=1)
+        fit_least_squares(box_space, X, y, family="random_fourier", n_basis=64, seed=1)
+        fit_least_squares(box_space, X, y, family="piecewise_linear", n_basis=8, seed=1)
+        fit_least_squares(box_space, X, y, family="quadratic")
         assert shapes == [(20, 20), (20, 20), (9, 9), (6, 6)]
 
     def test_unregularised_underdetermined_fit_raises(self, box_space):
-        data = _line_data_2d(box_space, n=20)
+        X, y = _line_data_2d(box_space, n=20)
         with pytest.raises(FitError, match="regularisation required"):
-            fit_least_squares(box_space, data, family="piecewise_linear", ridge=0.0,
+            fit_least_squares(box_space, X, y, family="piecewise_linear", ridge=0.0,
                               n_basis=64, seed=1)
 
 
 class TestGradients:
     @pytest.mark.parametrize("family", ["linear", "quadratic", "random_fourier"])
     def test_gradient_matches_finite_differences(self, box_space, family):
-        data = _line_data_2d(box_space, n=25, seed=3)
-        model = fit_least_squares(box_space, data, family=family, n_basis=40, seed=3, ridge=1e-8)
+        X, y = _line_data_2d(box_space, n=25, seed=3)
+        model = fit_least_squares(box_space, X, y, family=family, n_basis=40, seed=3, ridge=1e-8)
         x = np.array([0.3, 0.7])
         grad = model.gradient_encoded(x)
         eps = 1e-6
@@ -218,8 +218,8 @@ class TestGradients:
         rng = make_rng(3)
         pts = [sample_uniform(box_space, rng) for _ in range(25)]
         X = encode_points(box_space, pts)
-        data = list(zip(pts, np.sin(3.0 * X[:, 0]) * X[:, 1] + X[:, 1] ** 2))
-        model = fit_least_squares(box_space, data, family=family, n_basis=40, seed=3, ridge=1e-8)
+        y = np.sin(3.0 * X[:, 0]) * X[:, 1] + X[:, 1] ** 2
+        model = fit_least_squares(box_space, X, y, family=family, n_basis=40, seed=3, ridge=1e-8)
         rng = make_rng(8)
         X = np.column_stack([rng.uniform(0.0, 1.0, size=9), rng.uniform(-2.0, 3.0, size=9)])
         grads = model.gradient_encoded(X)
@@ -236,16 +236,15 @@ class TestGradients:
 
 
 def test_round_trip_serialisation(box_space, tmp_path):
-    data = _line_data_2d(box_space)
+    queries, y = _line_data_2d(box_space)
     for family in FAMILIES:
-        model = fit_least_squares(box_space, data, family=family, n_basis=16, seed=1)
+        model = fit_least_squares(box_space, queries, y, family=family, n_basis=16, seed=1)
         path = tmp_path / f"{family}.json"
         model.save(path)
         back = load_model(path)
-        queries = encode_points(box_space, [p for p, _ in data])
         np.testing.assert_array_equal(model.predict_encoded(queries), back.predict_encoded(queries))
 
 
 def test_unknown_family_rejected(box_space):
     with pytest.raises(ValueError, match="family"):
-        fit_least_squares(box_space, _line_data_2d(box_space), family="spline")
+        fit_least_squares(box_space, *_line_data_2d(box_space), family="spline")

@@ -313,6 +313,17 @@ class TestDelayWrapper:
             assert t >= 0.05
         assert time.perf_counter() - start >= 1.0
 
+    def test_real_mode_reports_measured_sleep(self, monkeypatch):
+        # Every sleep overruns by 30 ms; the reported time must include it.
+        from sbobench.problems import base
+
+        real_sleep = time.sleep
+        monkeypatch.setattr(base.time, "sleep", lambda s: real_sleep(s + 0.03))
+        q = with_delay(sphere(d=2), 0.01)
+        pt = q.space.make_point({"x0": 0.5, "x1": 0.5})
+        _, t = q.evaluate(pt)
+        assert t >= 0.04
+
     def test_negative_delay_rejected(self):
         with pytest.raises(ValueError):
             with_delay(sphere(), -0.1)

@@ -10,6 +10,7 @@ from sbobench.core import (
     sample_uniform,
     validate_point,
 )
+from sbobench.core.rng import derive_seed
 from sbobench.problems import esp_proxy, hpo_proxy, pipe_proxy, sphere
 from sbobench.solvers import (
     RandomSearchSolver,
@@ -19,6 +20,12 @@ from sbobench.solvers import (
     ucb_score,
 )
 from sbobench.surrogates.encoding import encode, encoded_bounds
+from sbobench.surrogates.gp import (
+    GaussianProcessModel,
+    _pairwise_dists,
+    default_params,
+    optimise_hyperparameters,
+)
 
 ALL_KINDS = ("randomsearch", "gp-ucb", "rff-local", "pwl-low", "pwl-high",
              "forest-ucb")
@@ -303,6 +310,47 @@ class TestRffLocalDescent:
             got = solver._descend(starts)
             assert got.tobytes() == _reference_descent(solver, starts).tobytes()
             assert not np.array_equal(got, starts)
+
+
+def _reference_gp_refit(solver, params):
+    """gp-ucb's refit written out with its own default parameters, box
+    diagonal, distance matrix and hyperparameter search, from the
+    parameters ``params`` held before the observation."""
+    n = len(solver.history)
+    X, y = solver._encoded_history()
+    offset = float(y.mean())
+    box_diag = float(np.sqrt(np.sum((solver._hi - solver._lo) ** 2)))
+    if params is None or (n - solver.R) % solver.hyper_interval == 0:
+        dists = _pairwise_dists(X, X)
+        init = params or default_params(solver.space, y - offset)
+        params = optimise_hyperparameters(
+            dists, y - offset, box_diag, init,
+            multistarts=solver.multistarts, steps=solver.steps,
+            seed=derive_seed(solver.seed, "hyperopt", n),
+        )
+    return GaussianProcessModel(solver.space, params, X, y - offset)
+
+
+class TestGpUcbRefit:
+    @pytest.mark.parametrize("make_problem", [lambda: esp_proxy(seed=0),
+                                              lambda: hpo_proxy(seed=0)],
+                             ids=["esp-proxy", "hpo-proxy"])
+    def test_refit_equals_reference(self, make_problem):
+        problem = make_problem()
+        solver = make_solver("gp-ucb", problem.space, R=5, seed=9,
+                             overrides={"hyper_interval": 3, "candidates": 64,
+                                        "refine": 0})
+        drive(solver, problem, 5)
+        # n = 8, 11, 14 and 17 re-tune, warm-started from the held
+        # parameters; the other steps reuse them.
+        for n in range(6, 18):
+            params = solver._params
+            drive(solver, problem, 1)
+            ref = _reference_gp_refit(solver, params)
+            assert solver._params == ref.params
+            assert (solver._params == params) == ((n - 5) % 3 != 0)
+            assert solver.model.alpha.tobytes() == ref.alpha.tobytes()
+            assert solver.model.L.tobytes() == ref.L.tobytes()
 
 
 class TestPwlPair:
