@@ -80,21 +80,32 @@ def _impurity(counts, totals):
     return 1.0 - np.sum(p * p, axis=-1)
 
 
-def gini_cost(sums, n_left, n):
-    """Negated decrease in row-weighted Gini impurity, from running class counts."""
-    counts = np.stack(sums, axis=-1)  # (rows, features, labels)
-    left = counts[:-1].astype(float)
-    right = counts[-1] - left
+def gini_cost(left, total, n_left, n):
+    """Negated decrease in row-weighted Gini impurity of each candidate split.
+
+    ``left`` holds each label's count among the rows a split sends left,
+    ``total`` the node's counts, and ``n_left`` and ``n`` the row counts.
+    """
+    left = np.stack(left, axis=-1).astype(float)  # (splits, labels)
+    total = np.stack(total, axis=-1)
+    right = total - left
     gain = (
-        n * _impurity(counts[-1, 0], n)  # the node's class counts, read off feature 0
-        - n_left * _impurity(left, n_left[..., None])
-        - (n - n_left) * _impurity(right, (n - n_left)[..., None])
+        n * _impurity(total, n[:, None])
+        - n_left * _impurity(left, n_left[:, None])
+        - (n - n_left) * _impurity(right, (n - n_left)[:, None])
     )
     return -gain
 
 
-def _majority(y):
-    return int(np.bincount(y).argmax())
+def _majority(targets, sizes):
+    """Most frequent label index of each node, node k owning the next ``sizes[k]`` targets.
+
+    Ties go to the lowest label index.
+    """
+    n_labels = int(targets.max()) + 1
+    node = np.repeat(np.arange(sizes.size), sizes)
+    counts = np.bincount(node * n_labels + targets, minlength=sizes.size * n_labels)
+    return counts.reshape(sizes.size, n_labels).argmax(axis=1)
 
 
 def _labelled(features, labels):
@@ -112,8 +123,8 @@ def grow_tree(X, y, max_leaves: int = MAX_LEAVES, max_depth: int = MAX_DEPTH) ->
     X, y = _labelled(X, y)
     labels, y_idx = np.unique(y, return_inverse=True)
     one_hot = [y_idx == i for i in range(labels.size)]
-    nodes = grow(X, y_idx, one_hot, gini_cost, _majority, max_depth=max_depth,
-                 max_leaves=max_leaves)
+    (nodes,) = grow(X, y_idx, one_hot, gini_cost, _majority, [np.arange(y_idx.size)],
+                    max_depth=max_depth, max_leaves=max_leaves)
     return RulesTree(*nodes, labels=tuple(labels.tolist()))
 
 

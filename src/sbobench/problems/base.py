@@ -84,6 +84,14 @@ class _DelayedProblem(Problem):
         self._inner = inner
         self._delay = float(delay)
 
+    def seed_noise(self, seed: int) -> None:
+        """Restart the inner problem's noise stream; the delay adds no noise."""
+        # Problem.__init__ calls this before the inner problem is attached,
+        # and that call must leave the inner problem's stream alone.
+        inner = getattr(self, "_inner", None)
+        if inner is not None:
+            inner.seed_noise(seed)
+
     def evaluate(self, point, virtual: bool = False) -> tuple[float, float]:
         objective, eval_time = self._inner.evaluate(point, virtual=virtual)
         if virtual:

@@ -4,7 +4,7 @@ import numpy as np
 
 from sbobench.core.space import SearchSpace
 from sbobench.surrogates.base import SurrogateModel, register_family
-from sbobench.surrogates.trees import RegressionTree, build_regression_tree
+from sbobench.surrogates.trees import RegressionTree, TreeStack, build_regression_tree
 
 
 class BoostedTreesModel(SurrogateModel):
@@ -16,14 +16,15 @@ class BoostedTreesModel(SurrogateModel):
         self.base_value = float(base_value)
         self.trees = list(trees)
         self.learning_rate = float(learning_rate)
+        self._stack = TreeStack(self.trees)
         # Mean squared training loss after each round (round 0 = mean only).
         self.train_losses = list(train_losses) if train_losses is not None else []
 
     def predict_encoded(self, X: np.ndarray) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=float))
         out = np.full(X.shape[0], self.base_value)
-        for tree in self.trees:
-            out += self.learning_rate * tree.predict(X)
+        for contribution in self._stack.predict(X):  # in tree order
+            out += self.learning_rate * contribution
         return out
 
     def to_jsonable(self) -> dict:

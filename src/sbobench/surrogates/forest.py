@@ -5,7 +5,7 @@ import numpy as np
 from sbobench.core.rng import make_rng
 from sbobench.core.space import SearchSpace
 from sbobench.surrogates.base import SurrogateModel, register_family
-from sbobench.surrogates.trees import RegressionTree, build_regression_tree
+from sbobench.surrogates.trees import RegressionTree, TreeStack, build_regression_trees
 
 
 class RandomForestModel(SurrogateModel):
@@ -18,10 +18,10 @@ class RandomForestModel(SurrogateModel):
         self.trees = trees
         self.min_leaf = min_leaf
         self.seed = seed
+        self._stack = TreeStack(trees)
 
     def _tree_matrix(self, X: np.ndarray) -> np.ndarray:
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        return np.stack([t.predict(X) for t in self.trees], axis=0)
+        return self._stack.predict(X)
 
     def predict_encoded(self, X: np.ndarray) -> np.ndarray:
         return self._tree_matrix(X).mean(axis=0)
@@ -62,16 +62,15 @@ def fit_forest(
     The first tree is grown on the full sample (so a one-tree forest
     with ``min_leaf=1`` memorises its training data exactly); the
     remaining trees each see a bootstrap resample drawn from the seeded
-    stream, which is what gives the ensemble its predictive spread.
+    stream, which is what gives the ensemble its predictive spread.  All
+    trees are grown together, a level at a time.
     """
     if n_trees < 1:
         raise ValueError("n_trees must be at least 1")
     if len(X) < min_leaf:
         raise ValueError("not enough data for the requested min_leaf")
     rng = make_rng(seed)
-    trees = [build_regression_tree(X, y, min_leaf=min_leaf)]
-    n = X.shape[0]
-    for _ in range(n_trees - 1):
-        rows = rng.integers(0, n, size=n)
-        trees.append(build_regression_tree(X[rows], y[rows], min_leaf=min_leaf))
+    n = len(X)
+    roots = [np.arange(n)] + [rng.integers(0, n, size=n) for _ in range(n_trees - 1)]
+    trees = build_regression_trees(X, y, roots, min_leaf=min_leaf)
     return RandomForestModel(space, trees, min_leaf, seed)

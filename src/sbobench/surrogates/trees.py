@@ -4,6 +4,11 @@ forest and boosting models and the Gini classifier of ``analysis.rules``.
 Splits are axis-aligned at midpoints between consecutive distinct values;
 ties go to the lowest feature, then the lowest threshold, so a tree is a
 pure function of its inputs.  Flat node arrays keep serialisation trivial.
+
+Trees grow one level at a time: every pending node of every tree being
+grown is scanned in a few batched passes, and the nodes are numbered
+afterwards in best-first order (lowest split cost first), the order in
+which a one-node-at-a-time heap grower would have created them.
 """
 
 import heapq
@@ -12,6 +17,13 @@ from dataclasses import dataclass
 import numpy as np
 
 LEAF = -1
+
+# A scan batch pads each node's rows to the batch's width; the padded
+# (nodes x features x width) block is kept to about this many elements,
+# and so is each chunk of a level's row partition.
+_BATCH_ELEMENTS = 2**14
+# Nodes of up to about this many rows x features share one batch class.
+_SMALL_ELEMENTS = 2**8
 
 
 @dataclass(frozen=True, eq=False)
@@ -49,15 +61,31 @@ class NodeArrays:
             depth += 1
         return depth
 
+    def route(self, X, roots) -> np.ndarray:
+        """Leaf index each row of X reaches from each root, as a (roots, rows) array.
+
+        Every (root, row) pair steps down at once; a leaf steps to itself,
+        so the pairs keep in step until all have reached their leaves.
+        """
+        X = np.atleast_2d(np.asarray(X, dtype=float))
+        roots = np.asarray(roots, dtype=int)
+        n, d = X.shape
+        leaf = self.feature == LEAF
+        node = np.arange(self.n_nodes)
+        feature = np.where(leaf, 0, self.feature)
+        threshold = np.where(leaf, np.inf, self.threshold)
+        left, right = np.where(leaf, node, self.left), np.where(leaf, node, self.right)
+        values = X.ravel()
+        row_start = np.tile(d * np.arange(n), roots.size)
+        idx = np.repeat(roots, n)
+        while not leaf[idx].all():
+            go_left = values[row_start + feature[idx]] <= threshold[idx]
+            idx = np.where(go_left, left[idx], right[idx])
+        return idx.reshape(roots.size, n)
+
     def apply(self, X) -> np.ndarray:
         """Index of the leaf each row of X reaches, all rows routed at once."""
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        idx = np.zeros(X.shape[0], dtype=int)
-        while (rows := np.flatnonzero(self.feature[idx] != LEAF)).size:
-            nodes = idx[rows]
-            go_left = X[rows, self.feature[nodes]] <= self.threshold[nodes]
-            idx[rows] = np.where(go_left, self.left[nodes], self.right[nodes])
-        return idx
+        return self.route(X, (0,))[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,96 +107,318 @@ class RegressionTree(NodeArrays):
         return cls(*(payload[name] for name, _ in cls._DTYPES))
 
 
-def sse_cost(sums, n_left, n):
-    """Summed squared error of both children, from running sums of y and y**2."""
-    csum, csum2 = sums
-    left_sum = csum[:-1]
-    left_sse = csum2[:-1] - left_sum**2 / n_left
-    right_sum = csum[-1] - left_sum
-    right_sse = (csum2[-1] - csum2[:-1]) - right_sum**2 / (n - n_left)
+class TreeStack:
+    """Several regression trees routed together, one (trees, rows) pass per call."""
+
+    def __init__(self, trees):
+        sizes = np.array([t.n_nodes for t in trees], dtype=int)
+        offsets = np.cumsum(sizes) - sizes
+
+        def joined(name, shift=False):
+            parts = [getattr(t, name) for t in trees]
+            if shift:  # child indices move with their tree; LEAF stays LEAF
+                parts = [np.where(p == LEAF, LEAF, p + o) for p, o in zip(parts, offsets)]
+            return np.concatenate(parts) if parts else ()
+
+        self.nodes = RegressionTree(joined("feature"), joined("threshold"),
+                                    joined("left", True), joined("right", True), joined("value"))
+        self.roots = offsets
+
+    def predict(self, X) -> np.ndarray:
+        """Each tree's prediction at each row of X, as a (trees, rows) matrix."""
+        return self.nodes.value[self.nodes.route(X, self.roots)]
+
+
+def sse_cost(left, total, n_left, n):
+    """Summed squared error of both children of each candidate split.
+
+    ``left`` holds the sums of y and y**2 over the rows each split sends
+    left, ``total`` the node's sums, and ``n_left`` and ``n`` the row counts.
+    """
+    left_sum, left_sum2 = left
+    total_sum, total_sum2 = total
+    left_sse = left_sum2 - left_sum**2 / n_left
+    right_sum = total_sum - left_sum
+    right_sse = (total_sum2 - left_sum2) - right_sum**2 / (n - n_left)
     return left_sse + right_sse
 
 
-def _mean(y):
-    return float(y.sum() / y.size)  # == y.mean(), without its wrapper cost
+def _means(targets, sizes):
+    """Mean target of each node, node k owning the next ``sizes[k]`` targets.
+
+    Nodes of one size share one row-sum call; each row of a C-contiguous
+    matrix sums exactly as the node's own ``row.sum()`` would.
+    """
+    starts = np.cumsum(sizes) - sizes
+    means = np.empty(sizes.size)
+    for size in np.unique(sizes).tolist():
+        same = (sizes == size).nonzero()[0]
+        means[same] = targets[starts[same][:, None] + np.arange(size)].sum(axis=1) / size
+    return means
+
+
+def _scan(xs, stats, sizes, cost, min_leaf):
+    """Lowest-cost split of each node of a batch: (found, cost, feature, threshold) arrays.
+
+    ``xs`` is (nodes, features, width): node k's values of each feature in
+    stable sorted order, NaN past ``sizes[k]``.  Each per-row statistic in
+    ``stats`` is (nodes, features, width) in the same order, zero past each
+    node's size, so every real running sum and every node total is the
+    node's own.  A split after sorted position i sends i + 1 rows left; it
+    is valid where the value changes there and both children keep
+    ``min_leaf`` rows, and ``cost(left, total, n_left, n)`` scores the
+    valid ones.  One arg-min over each node's (feature, position) grid,
+    invalid positions scoring infinity, picks its split, so ties go to
+    the lowest feature, then the lowest threshold.
+    """
+    k, d, width = xs.shape
+    sums = [s.cumsum(axis=-1).ravel() for s in stats]
+    n = sizes[:, None, None]
+    position = np.arange(width - 1)
+    valid = (xs[..., :-1] != xs[..., 1:]) & (position >= min_leaf - 1) & (position < n - min_leaf)
+    at = np.flatnonzero(valid)
+    line, i = np.divmod(at, width - 1)  # line = node * d + feature
+    end = line * width + width - 1
+    scores = np.full(valid.size, np.inf)
+    scores[at] = cost([s.take(end - (width - 1) + i) for s in sums], [s.take(end) for s in sums],
+                      i + 1, sizes[line // d])
+    scores = scores.reshape(k, -1)
+    best = scores.argmin(axis=1)
+    f, i = np.divmod(best, width - 1)
+    nodes = np.arange(k)
+    valid = valid.reshape(k, -1)[nodes, best]
+    lower, upper = xs[nodes, f, i], xs[nodes, f, i + 1]
+    threshold = (lower + upper) / 2.0
+    # The midpoint of adjacent floats can round up to the upper value; the
+    # threshold must stay below it, or one child would get every row and
+    # the tree would grow forever.
+    threshold = np.where(threshold < upper, threshold, lower)
+    return valid, scores[nodes, best], f, threshold
 
 
 def best_split(X, stats, cost, min_leaf=1):
     """Lowest-cost axis split of the rows of X as (cost, feature, threshold), or None.
 
-    Every column is sorted once and each per-row statistic in ``stats``
-    is summed down every sorted column; ``cost(sums, n_left, n)`` turns
-    those running sums into the cost of a split after each position.
-    One arg-min over the (feature, position) grid picks the split, so
-    ties go to the lowest feature, then the lowest threshold.  Both
-    children must keep at least ``min_leaf`` rows.
+    The one-node case of the batched scan: every column is sorted once
+    and each per-row statistic in ``stats`` is summed down every sorted
+    column.
     """
     n = X.shape[0]
     if n < 2:
         return None
-    order = X.argsort(axis=0, kind="stable")
-    xs = X[order, np.arange(X.shape[1])]
-    sums = [s[order].cumsum(axis=0) for s in stats]
-    # Split after sorted row i: n_left = i + 1 rows go left, one column per feature.
-    n_left = np.arange(1, n)[:, None]
-    valid = xs[:-1] != xs[1:]
-    if min_leaf > 1:
-        valid[: min_leaf - 1] = False
-        valid[n - min_leaf :] = False
-    scores = np.where(valid, cost(sums, n_left, n), np.inf)
-    f, i = divmod(int(scores.T.argmin()), n - 1)
-    if not valid[i, f]:
-        return None
-    return float(scores[i, f]), f, float((xs[i, f] + xs[i + 1, f]) / 2.0)
+    columns = np.asarray(X, dtype=float).T
+    order = columns.argsort(axis=1, kind="stable")
+    found, score, f, threshold = _scan(
+        np.take_along_axis(columns, order, axis=1)[None],
+        [np.asarray(s)[order][None] for s in stats], np.array([n]), cost, min_leaf)
+    return (float(score[0]), int(f[0]), float(threshold[0])) if found[0] else None
 
 
-def grow(X, y, stats, cost, value, min_leaf=1, max_depth=None, max_leaves=None):
-    """Grow best-first, lowest split cost first; return node arrays and values.
+def _batches(sizes, d):
+    """Groups of nodes to scan together, as index arrays into ``sizes``.
 
-    ``cost`` scores splits from the per-row ``stats`` of targets ``y``;
-    each node stores ``value(y[rows])``.  A node stays a leaf with fewer
-    than ``2 * min_leaf`` rows, equal targets, at ``max_depth``, or with
-    no valid split.  Growth stops at ``max_leaves`` leaves; without that
-    cap the growth order does not change the partition.
+    Nodes are grouped by power-of-two size class, so padding at most
+    doubles a batch, except that every node of at most about
+    ``_SMALL_ELEMENTS`` (rows x features) shares the lowest class: on
+    small nodes a scan's fixed cost outweighs their padding.  Each batch
+    holds at most about ``_BATCH_ELEMENTS`` padded elements.
     """
-    nodes, values, heap = [], [], []
-
-    def add(rows, depth):
-        node = len(nodes)
-        nodes.append([LEAF, 0.0, LEAF, LEAF])
-        ys = y[rows]
-        values.append(value(ys))
-        if (
-            rows.size >= 2 * min_leaf
-            and (ys != ys[0]).any()
-            and (max_depth is None or depth < max_depth)
-        ):
-            node_X = X[rows]
-            split = best_split(node_X, [s[rows] for s in stats], cost, min_leaf)
-            if split is not None:
-                score, f, thr = split
-                # Node ids grow with every push, so equal costs pop first-pushed first.
-                heapq.heappush(heap, (score, node, f, thr, rows, node_X[:, f] <= thr, depth))
-        return node
-
-    add(np.arange(X.shape[0]), 0)
-    n_leaves = 1
-    while heap and (max_leaves is None or n_leaves < max_leaves):
-        _, node, f, thr, rows, mask, depth = heapq.heappop(heap)
-        nodes[node][:2] = f, thr
-        nodes[node][2] = add(rows[mask], depth + 1)
-        nodes[node][3] = add(rows[~mask], depth + 1)
-        n_leaves += 1
-    return (*zip(*nodes), values)
+    smallest = max(1, (_SMALL_ELEMENTS // d).bit_length() - 1)
+    size_class = np.maximum(np.frexp(sizes - 1)[1], smallest)  # sizes are at most 2**size_class
+    for c in np.unique(size_class).tolist():
+        members = (size_class == c).nonzero()[0]
+        per_batch = max(1, _BATCH_ELEMENTS // (d << c))
+        for lo in range(0, members.size, per_batch):
+            yield members[lo:lo + per_batch]
 
 
-def build_regression_tree(X: np.ndarray, y: np.ndarray, min_leaf: int = 1,
-                          max_depth: int | None = None) -> RegressionTree:
-    """Grow a deterministic squared-error tree to purity or the caps."""
+def _line_chunks(n_lines, width):
+    """Slices of lines of a (lines, width) array, about ``_BATCH_ELEMENTS`` elements each."""
+    step = max(1, _BATCH_ELEMENTS // max(width, 1))
+    return [slice(lo, min(lo + step, n_lines)) for lo in range(0, n_lines, step)]
+
+
+def _presorted(XT, sample, sizes):
+    """The first level's ``node_rows``: each root's rows by every feature, then in row order.
+
+    Row r is sample ``sample[r]``, a column of ``XT``; rows are numbered
+    tree by tree, ``sizes[t]`` rows for tree t.  Line f of the result
+    lists every tree's rows in the stable order of feature f, tree by
+    tree; the last line lists all rows in order.
+    """
+    d, n_rows = XT.shape[0], sizes.sum()
+    tree_of = np.repeat(np.arange(sizes.size), sizes)
+    node_rows = np.empty((d + 1, n_rows), dtype=np.int32)
+    for lines in _line_chunks(d, n_rows):
+        values = XT[lines].take(sample[:n_rows], axis=1)
+        node_rows[lines] = np.lexsort((values, np.broadcast_to(tree_of, values.shape)))
+    node_rows[d] = np.arange(n_rows)
+    return node_rows
+
+
+def _scan_level(XT, sample, stats, node_rows, starts, sizes, scan, out, cost, min_leaf):
+    """Write the best split of each node listed in ``scan`` into the arrays ``out``.
+
+    ``out`` holds (found, cost, feature, threshold) arrays over the level's
+    nodes; node k owns columns ``starts[k]:starts[k] + sizes[k]`` of
+    ``node_rows``.  The last row of ``sample`` is the pad.
+    """
+    d, pad = XT.shape[0], sample.size - 1
+    column_start = XT.shape[1] * np.arange(d)[:, None]
+    last = node_rows.shape[1] - 1
+    for batch in _batches(sizes[scan], d):
+        nodes = scan[batch]
+        position = np.arange(sizes[nodes].max())
+        real = position < sizes[nodes][:, None]
+        at = np.minimum(starts[nodes][:, None] + position, last)
+        rows = np.where(real[:, None, :], node_rows[:d, at].transpose(1, 0, 2), pad)
+        samples = sample.take(rows)  # (nodes, features, width)
+        result = _scan(XT.take(samples + column_start), [s.take(samples) for s in stats],
+                       sizes[nodes], cost, min_leaf)
+        for column, part in zip(out, result):
+            column[nodes] = part
+
+
+def _partition(XT, sample, node_rows, sizes, found, feature, threshold, child_of):
+    """The next level's ``node_rows`` and node sizes.
+
+    Every line of each split node's rows is partitioned stably into its
+    left child's rows, then its right child's, so each child keeps its
+    parent's orders.  ``child_of`` is scratch space, one entry per row.
+    """
+    keep = found.repeat(sizes)
+    sizes = sizes[found]
+    rows = node_rows[-1, keep]
+    go_right = ~(XT[feature[found].repeat(sizes), sample[rows]] <= threshold[found].repeat(sizes))
+    child_of[rows] = (2 * np.arange(sizes.size)).repeat(sizes) + go_right
+    children = np.empty((node_rows.shape[0], rows.size), dtype=node_rows.dtype)
+    for lines in _line_chunks(node_rows.shape[0], rows.size):
+        part = node_rows[lines][:, keep]
+        order = child_of[part].argsort(axis=1, kind="stable")
+        children[lines] = part.take(order + rows.size * np.arange(len(part))[:, None])
+    return children, np.bincount(child_of[rows], minlength=2 * sizes.size)
+
+
+def _best_first(root, found, score, child, max_leaves, order, splits):
+    """Replay best-first growth from ``root``, appending to ``order`` and ``splits``.
+
+    Node k's children are ``child[k]`` and ``child[k] + 1``.  Each node
+    created is appended to ``order``, and the position in ``order`` of
+    each node that splits to ``splits``, in the order the splits happen;
+    its children are created right after.  The heap pops the lowest
+    (cost, position), positions being given out as nodes are created, so
+    equal costs pop first-created first.
+    """
+    heap = [(score[root], len(order))] if found[root] else []
+    order.append(root)
+    n_splits = 0
+    while heap and (max_leaves is None or n_splits + 1 < max_leaves):
+        at = heapq.heappop(heap)[1]
+        splits.append(at)
+        n_splits += 1
+        first = child[order[at]]
+        for kid in (first, first + 1):
+            if found[kid]:
+                heapq.heappush(heap, (score[kid], len(order)))
+            order.append(kid)
+
+
+def _number_trees(n_trees, found, score, feature, threshold, values, max_leaves):
+    """Each tree's node arrays and values, its nodes numbered best-first.
+
+    Nodes are given level by level, roots first; the j-th node that
+    splits has its children at n_trees + 2j and n_trees + 2j + 1.
+    """
+    child = n_trees + 2 * (np.cumsum(found) - 1)
+    order, splits, bounds, split_bounds = [], [], [0], [0]
+    found_list, score_list, child_list = found.tolist(), score.tolist(), child.tolist()
+    for root in range(n_trees):
+        _best_first(root, found_list, score_list, child_list, max_leaves, order, splits)
+        bounds.append(len(order))
+        split_bounds.append(len(splits))
+    order, splits = np.array(order, dtype=int), np.array(splits, dtype=int)
+    # The q-th split of a tree creates its children at positions 2q + 1 and 2q + 2.
+    split_bounds = np.array(split_bounds)
+    q = np.arange(splits.size) - np.repeat(split_bounds[:-1], np.diff(split_bounds))
+    left = np.full(order.size, LEAF)
+    left[splits] = 1 + 2 * q
+    right = np.where(left == LEAF, LEAF, left + 1)
+    new_feature = np.full(order.size, LEAF)
+    new_feature[splits] = feature[order[splits]]
+    new_threshold = np.zeros(order.size)
+    new_threshold[splits] = threshold[order[splits]]
+    arrays = (new_feature, new_threshold, left, right, values[order])
+    return [tuple(a[lo:hi] for a in arrays) for lo, hi in zip(bounds[:-1], bounds[1:])]
+
+
+def grow(X, y, stats, cost, value, roots, min_leaf=1, max_depth=None, max_leaves=None):
+    """Grow one tree per row set in ``roots``; return each tree's node arrays and values.
+
+    Tree t is grown on rows ``roots[t]`` of X (repeats allowed, order
+    kept), all trees a level at a time.  ``cost`` scores splits from the
+    per-row ``stats`` of targets ``y``; ``value(targets, sizes)`` maps
+    every node's targets, node by node and each node's in row order, to
+    the nodes' values.  A node stays a leaf with fewer than ``2 * min_leaf``
+    rows, equal targets, at ``max_depth``, or with no valid split.  Nodes
+    are numbered best-first, lowest split cost first, and growth stops at
+    ``max_leaves`` leaves.
+    """
+    if max_leaves is not None:
+        # A node at depth max_leaves - 1 is created with max_leaves leaves already.
+        max_depth = max_leaves - 1 if max_depth is None else min(max_depth, max_leaves - 1)
+    X = np.asarray(X, dtype=float)
+    sizes = np.array([len(r) for r in roots], dtype=int)
+    # Rows are numbered tree by tree in root order, row r being sample
+    # sample[r].  One more row, last, pads the scan batches: its sample
+    # is NaN in every column and zero in every statistic.
+    sample = np.concatenate([np.asarray(r, dtype=int) for r in roots] + [[X.shape[0]]])
+    XT = np.vstack((X, np.full(X.shape[1], np.nan))).T.copy()
+    stats = [np.append(s, 0) for s in stats]
+    ys = np.asarray(y)[sample[:-1]]
+    node_rows = _presorted(XT, sample, sizes)
+    child_of = np.empty(ys.size, dtype=np.int32)
+    levels = []
+    while sizes.size:
+        m = sizes.size
+        ends = sizes.cumsum()
+        starts = ends - sizes
+        targets = ys[node_rows[-1]]
+        level = (sizes, targets, np.zeros(m, dtype=bool), np.full(m, np.inf),
+                 np.full(m, LEAF), np.zeros(m))
+        if max_depth is None or len(levels) < max_depth:
+            changes = np.concatenate(([0], (targets != targets[starts].repeat(sizes)).cumsum()))
+            scan = ((sizes >= 2 * min_leaf) & (changes[ends] > changes[starts])).nonzero()[0]
+            _scan_level(XT, sample, stats, node_rows, starts, sizes, scan, level[2:], cost,
+                        min_leaf)
+        levels.append(level)
+        found, _, feature, threshold = level[2:]
+        node_rows, sizes = _partition(XT, sample, node_rows, sizes, found, feature, threshold,
+                                      child_of)
+    sizes, targets, found, score, feature, threshold = (np.concatenate(a) for a in zip(*levels))
+    return _number_trees(len(roots), found, score, feature, threshold,
+                         value(targets, sizes), max_leaves)
+
+
+def _regression_inputs(X, y, min_leaf):
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     if X.ndim != 2 or X.shape[0] != y.size or X.shape[0] == 0:
         raise ValueError("X must be (n, d) with matching targets")
     if min_leaf < 1:
         raise ValueError("min_leaf must be at least 1")
-    return RegressionTree(*grow(X, y, (y, y * y), sse_cost, _mean, min_leaf, max_depth))
+    return X, y
+
+
+def build_regression_trees(X: np.ndarray, y: np.ndarray, roots, min_leaf: int = 1,
+                           max_depth: int | None = None) -> list[RegressionTree]:
+    """Squared-error trees grown together, tree t on rows ``roots[t]`` of X and y."""
+    X, y = _regression_inputs(X, y, min_leaf)
+    return [RegressionTree(*nodes)
+            for nodes in grow(X, y, (y, y * y), sse_cost, _means, roots, min_leaf, max_depth)]
+
+
+def build_regression_tree(X: np.ndarray, y: np.ndarray, min_leaf: int = 1,
+                          max_depth: int | None = None) -> RegressionTree:
+    """Grow a deterministic squared-error tree to purity or the caps."""
+    X, y = _regression_inputs(X, y, min_leaf)
+    return build_regression_trees(X, y, [np.arange(X.shape[0])], min_leaf, max_depth)[0]

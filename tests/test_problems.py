@@ -328,6 +328,24 @@ class TestDelayWrapper:
         with pytest.raises(ValueError):
             with_delay(sphere(), -0.1)
 
+    def test_reseeding_restarts_the_inner_noise_stream(self):
+        bare = sphere(d=2, noise_sigma=0.5)
+        delayed = with_delay(sphere(d=2, noise_sigma=0.5), 0.0)
+        origin = bare.space.make_point({"x0": 0.0, "x1": 0.0})
+        for _ in range(2):
+            bare.seed_noise(1)
+            delayed.seed_noise(1)
+            assert delayed.evaluate(origin, virtual=True) == bare.evaluate(origin, virtual=True)
+
+    def test_wrapping_keeps_the_inner_noise_stream(self):
+        noisy = sphere(d=2, noise_sigma=0.5)
+        twin = sphere(d=2, noise_sigma=0.5)
+        twin.seed_noise(7)
+        noisy.seed_noise(7)
+        delayed = with_delay(noisy, 0.0)
+        origin = twin.space.make_point({"x0": 0.0, "x1": 0.0})
+        assert delayed.evaluate(origin, virtual=True) == twin.evaluate(origin, virtual=True)
+
 
 class TestSynthetic:
     def test_sphere_minimum_at_origin(self):
