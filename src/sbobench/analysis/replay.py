@@ -60,7 +60,8 @@ class ReplayGrid:
 
 
 def _run_arrays(log):
-    solver_times = np.array([rec.solver_time for rec in log.records], dtype=float)
+    solver_times = np.fromiter((rec.solver_time for rec in log.records), dtype=float,
+                               count=len(log.records))
     return log.objectives, solver_times
 
 
@@ -68,13 +69,30 @@ def _finish_times(solver_times: np.ndarray, eval_time: float) -> np.ndarray:
     return np.cumsum(solver_times + eval_time)
 
 
-def _completed(finish_times: np.ndarray, budget: float) -> int:
-    return int(np.searchsorted(finish_times, budget, side="right"))
-
-
 def replay_count(solver_times: np.ndarray, eval_time: float, budget: float) -> int:
     """Number of evaluations completed within the budget under re-timing."""
-    return _completed(_finish_times(solver_times, eval_time), budget)
+    return int(np.searchsorted(_finish_times(solver_times, eval_time), budget, side="right"))
+
+
+def _run_bests(objectives, solver_times, budgets, eval_times):
+    """One run's best objective per (budget, eval_time), and whether each is defined.
+
+    Each evaluation cost takes one ``searchsorted`` of the whole budget
+    axis, and the bests are read off the run's running minimum.  That
+    equals ``objectives[:n].min()`` except, at a 0.0 / -0.0 tie, in the
+    sign of the zero, which no mean keeps: ``np.mean`` sums from 0.0.
+    """
+    shape = (len(budgets), len(eval_times))
+    if not objectives.size:
+        return np.zeros(shape), np.zeros(shape, dtype=bool)
+    running = np.minimum.accumulate(objectives)
+    bests, defined = np.empty(shape), np.empty(shape, dtype=bool)
+    for j, eval_time in enumerate(eval_times):
+        finish = _finish_times(solver_times, eval_time)
+        n = np.searchsorted(finish, budgets, side="right")
+        ok = (n > 0) & ~((n == finish.size) & (finish[-1] < budgets))
+        bests[:, j], defined[:, j] = running[n - 1], ok
+    return bests, defined
 
 
 def replay(logs, budgets=None, eval_times=None) -> ReplayGrid:
@@ -91,36 +109,26 @@ def replay(logs, budgets=None, eval_times=None) -> ReplayGrid:
     for log in logs:
         by_solver.setdefault(log.solver_id, []).append(_run_arrays(log))
     solvers = tuple(sorted(by_solver))
-    # Each run's finish times under each evaluation cost, shared by every budget.
-    finish_times = [
-        {
-            solver: [_finish_times(solver_times, eval_time) for _, solver_times in runs]
-            for solver, runs in by_solver.items()
-        }
-        for eval_time in eval_times
-    ]
+    budget_axis = np.array(budgets)
+    defined = np.ones((len(budgets), len(eval_times)), dtype=bool)
+    means = {}
+    for solver in solvers:
+        outcomes = [_run_bests(objectives, solver_times, budget_axis, eval_times)
+                    for objectives, solver_times in by_solver[solver]]
+        for _, run_defined in outcomes:
+            defined &= run_defined
+        # (budget, eval_time, run), C-contiguous: the mean reduces each cell's runs
+        # as one contiguous row, adding them exactly as np.mean of that cell's list.
+        bests = np.stack([run_bests for run_bests, _ in outcomes], axis=-1)
+        means[solver] = np.mean(bests, axis=-1).tolist()
 
     cells = []
-    for budget in budgets:
-        for eval_time, finish_by_solver in zip(eval_times, finish_times):
-            means = {}
-            defined = True
-            for solver in solvers:
-                bests = []
-                for (objectives, _), cumtime in zip(by_solver[solver], finish_by_solver[solver]):
-                    n = _completed(cumtime, budget)
-                    if n == 0 or (n == objectives.size and cumtime[-1] < budget):
-                        defined = False
-                        break
-                    bests.append(float(objectives[:n].min()))
-                if not defined:
-                    break
-                means[solver] = float(np.mean(bests))
-            if defined:
-                winner = min(means, key=lambda s: (means[s], s))
-                cells.append(
-                    ReplayCell(budget, eval_time, True, means, winner)
-                )
+    for i, (budget, row_defined) in enumerate(zip(budgets, defined.tolist())):
+        for j, (eval_time, cell_defined) in enumerate(zip(eval_times, row_defined)):
+            if cell_defined:
+                cell_means = {solver: means[solver][i][j] for solver in solvers}
+                winner = min(cell_means, key=lambda s: (cell_means[s], s))
+                cells.append(ReplayCell(budget, eval_time, True, cell_means, winner))
             else:
                 cells.append(ReplayCell(budget, eval_time, False))
     return ReplayGrid(budgets, eval_times, solvers, tuple(cells))

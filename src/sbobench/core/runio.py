@@ -34,12 +34,27 @@ def _columns(space: SearchSpace) -> list[str]:
             "objective", "eval_time_s", "solver_time_s"]
 
 
-def _format_value(kind: str, value) -> str:
+def _format_column(kind: str, column):
+    """The CSV cells of one variable's values (a column of the log)."""
     if kind == CONTINUOUS:
-        return repr(float(value))
+        return _float_cells(column)
     if kind == INTEGER:
-        return str(int(value))
-    return str(value)
+        return map(str, map(int, column))
+    return map(str, column)
+
+
+def _float_cells(column):
+    """``repr(float(x))`` per value: the shortest round-trip text of a float."""
+    return map(repr, map(float, column))
+
+
+def _parse_column(kind: str, cells):
+    """One variable's values from its CSV cells."""
+    if kind == CONTINUOUS:
+        return map(float, cells)
+    if kind == INTEGER:
+        return map(int, cells)
+    return cells
 
 
 def _atomic_write(path: Path, text: str):
@@ -68,15 +83,19 @@ def write_run_log(log: RunLog, space: SearchSpace, csv_path, extra: dict | None 
     under the sidecar's ``"harness"`` key.
     """
     csv_path = Path(csv_path)
+    records = log.records
+    values = zip(*(rec.point.values for rec in records))
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(_columns(space))
-    for rec in log.records:
-        row = [str(rec.iteration), rec.phase]
-        for v, value in zip(space.variables, rec.point.values):
-            row.append(_format_value(v.kind, value))
-        row.extend([repr(rec.objective), repr(rec.eval_time), repr(rec.solver_time)])
-        writer.writerow(row)
+    writer.writerows(zip(
+        (str(rec.iteration) for rec in records),
+        (rec.phase for rec in records),
+        *(_format_column(v.kind, column) for v, column in zip(space.variables, values)),
+        _float_cells(rec.objective for rec in records),
+        _float_cells(rec.eval_time for rec in records),
+        _float_cells(rec.solver_time for rec in records),
+    ))
     _atomic_write(csv_path, buf.getvalue())
 
     header = {
@@ -109,36 +128,38 @@ def read_run_log(csv_path) -> tuple[RunLog, SearchSpace]:
         header = json.load(fh)
     space = space_from_jsonable(header["variables"])
 
-    records = []
+    columns = _columns(space)
     with open(csv_path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        columns = next(reader)
-        if columns != _columns(space):
-            raise ValueError(f"unexpected columns in {csv_path}: {columns}")
+        header_row = next(reader)
+        if header_row != columns:
+            raise ValueError(f"unexpected columns in {csv_path}: {header_row}")
+        rows = []
         for row in reader:
-            iteration = int(row[0])
-            phase = row[1]
-            values = []
-            for v, cell in zip(space.variables, row[2 : 2 + space.dimension]):
-                if v.kind == CONTINUOUS:
-                    values.append(float(cell))
-                elif v.kind == INTEGER:
-                    values.append(int(cell))
-                else:
-                    values.append(cell)
-            vals = tuple(values)
-            point = Point(values=vals, active=space.activity(vals))
-            objective, eval_time, solver_time = (float(c) for c in row[2 + space.dimension :])
-            records.append(
-                EvaluationRecord(
-                    iteration=iteration,
-                    point=point,
-                    objective=objective,
-                    eval_time=eval_time,
-                    solver_time=solver_time,
-                    phase=phase,
+            if len(row) != len(columns):
+                raise ValueError(
+                    f"{csv_path}, line {reader.line_num}: {len(row)} cells, "
+                    f"but the header has {len(columns)}"
                 )
-            )
+            rows.append(row)
+
+    cells = list(zip(*rows)) or [()] * len(columns)
+    d = space.dimension
+    values = zip(*(_parse_column(v.kind, column)
+                   for v, column in zip(space.variables, cells[2 : 2 + d])))
+    records = [
+        EvaluationRecord(
+            iteration=iteration,
+            point=Point(values=vals, active=space.activity(vals)),
+            objective=objective,
+            eval_time=eval_time,
+            solver_time=solver_time,
+            phase=phase,
+        )
+        for iteration, phase, vals, objective, eval_time, solver_time in zip(
+            map(int, cells[0]), cells[1], values, *(map(float, c) for c in cells[2 + d :])
+        )
+    ]
 
     log = RunLog(
         problem_id=header["problem_id"],

@@ -7,6 +7,9 @@ value in every point, the activity flag is metadata.  Categorical values
 are handled ordinally (by index) wherever a numeric view is needed.
 """
 
+import itertools
+import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping, Sequence
@@ -158,18 +161,77 @@ class SearchSpace:
                 raise ValueError("conditions are not acyclic")
         return tuple(placed)
 
+    @cached_property
+    def _conditions(self) -> tuple:
+        """(child, parent, category) per conditional variable, parents before children."""
+        return tuple(
+            (i, self._index[cond.parent], cond.category)
+            for i in self._topo_order
+            if (cond := self.variables[i].condition) is not None
+        )
+
+    @cached_property
+    def _all_active(self) -> tuple:
+        return (True,) * len(self.variables)
+
+    @cached_property
+    def _draw_plan(self) -> tuple:
+        """One ``(continuous, lower, size, domains)`` draw per run of like variables.
+
+        The runs split ``_topo_order`` into maximal stretches of continuous
+        variables and of integer-or-categorical ones.  A continuous run is
+        ``lower + size * rng.random(k)``, with ``size`` its widths; any
+        other run is one ``rng.integers(0, size)`` call whose draws index
+        each variable's ``domains`` entry (``range(lower, upper + 1)`` or
+        its categories), ``size`` being the domains' lengths.
+        """
+        plan = []
+        for continuous, run in itertools.groupby(
+            (self.variables[i] for i in self._topo_order), key=lambda v: v.kind == CONTINUOUS
+        ):
+            run = tuple(run)
+            if continuous:
+                lower = np.array([v.lower for v in run])
+                size = np.array([v.upper for v in run]) - lower
+                if not np.isfinite(size).all():  # as rng.uniform(lower, upper) refuses
+                    raise OverflowError("high - low range exceeds valid bounds")
+                plan.append((True, lower, size, None))
+            else:
+                domains = tuple(
+                    v.categories if v.kind == CATEGORICAL
+                    else range(int(v.lower), int(v.upper) + 1)
+                    for v in run
+                )
+                plan.append((False, None, np.array([len(d) for d in domains], dtype=np.int64),
+                             domains))
+        return tuple(plan)
+
+    @cached_property
+    def _from_topo_order(self) -> tuple | None:
+        """Where each declared variable sits in ``_topo_order``; None when they agree."""
+        order = self._topo_order
+        if order == tuple(range(len(order))):
+            return None
+        position = [0] * len(order)
+        for k, i in enumerate(order):
+            position[i] = k
+        return tuple(position)
+
+    @cached_property
+    def _checks(self) -> tuple:
+        """``(name, kind, lower, upper, categories)`` per variable, for :func:`validate_point`."""
+        return tuple((v.name, v.kind, v.lower, v.upper, v.categories) for v in self.variables)
+
     def index(self, name: str) -> int:
         return self._index[name]
 
     def activity(self, values: Sequence) -> tuple:
         """Activity flags implied by the conditional rules for ``values``."""
-        active = [True] * len(self.variables)
-        for i in self._topo_order:
-            cond = self.variables[i].condition
-            if cond is None:
-                continue
-            p = self._index[cond.parent]
-            active[i] = bool(active[p]) and values[p] == cond.category
+        if not self._conditions:
+            return self._all_active
+        active = list(self._all_active)
+        for i, p, category in self._conditions:
+            active[i] = bool(active[p]) and values[p] == category
         return tuple(active)
 
     def make_point(self, values: Mapping[str, object]) -> Point:
@@ -208,30 +270,32 @@ def validate_point(space: SearchSpace, point: Point) -> str | None:
 
     Returns ``None`` when every bound, category and activity invariant
     holds, otherwise a message naming the first offending variable.
+    Bounds are compared exactly, so an ``int`` too large for a float is
+    out of bounds rather than an error.
     """
     n = len(space.variables)
     if len(point.values) != n or len(point.active) != n:
         return f"point has {len(point.values)} values for a {n}-variable space"
-    for i, v in enumerate(space.variables):
-        val = point.values[i]
-        if v.kind == CONTINUOUS:
-            if not isinstance(val, (int, float)) or isinstance(val, bool) or not np.isfinite(val):
-                return f"{v.name} is not a finite number"
-            if not (v.lower <= float(val) <= v.upper):
-                return f"{v.name} out of bounds"
-        elif v.kind == INTEGER:
+    for val, (name, kind, lower, upper, categories) in zip(point.values, space._checks):
+        if kind == CONTINUOUS:
+            if (isinstance(val, bool) or not isinstance(val, (int, float))
+                    or (isinstance(val, float) and not math.isfinite(val))):
+                return f"{name} is not a finite number"
+            if not (lower <= val <= upper):
+                return f"{name} out of bounds"
+        elif kind == INTEGER:
             if isinstance(val, bool) or not isinstance(val, (int, np.integer)):
-                return f"{v.name} is not an integer"
-            if not (v.lower <= int(val) <= v.upper):
-                return f"{v.name} out of bounds"
-        else:
-            if val not in v.categories:
-                return f"{v.name} is not a valid category"
+                return f"{name} is not an integer"
+            if not (lower <= int(val) <= upper):
+                return f"{name} out of bounds"
+        elif val not in categories:
+            return f"{name} is not a valid category"
     expected = space.activity(point.values)
-    for i, v in enumerate(space.variables):
-        if bool(point.active[i]) != expected[i]:
-            state = "active" if expected[i] else "inactive"
-            return f"{v.name} must be {state}"
+    if point.active != expected:
+        for (name, *_), flag, want in zip(space._checks, point.active, expected):
+            if bool(flag) != want:
+                state = "active" if want else "inactive"
+                return f"{name} must be {state}"
     return None
 
 
@@ -242,17 +306,25 @@ def sample_uniform(space: SearchSpace, rng: np.random.Generator) -> Point:
     declaration order otherwise) so the stream layout is documented and
     reproducible.  Conditional variables are sampled whether or not they
     end up active; activity is recomputed afterwards.
+
+    Each run of like variables in that order is one generator call (see
+    ``SearchSpace._draw_plan``).  An array call consumes the stream
+    element by element exactly as one scalar call per variable would,
+    so the values and the generator's final state are those of
+    ``rng.uniform(lower, upper)`` per continuous variable (which is
+    ``lower + (upper - lower) * rng.random()``),
+    ``rng.integers(lower, upper + 1)`` per integer one (``lower`` plus a
+    draw that depends only on the range's length) and
+    ``rng.integers(0, len(categories))`` per categorical one.
     """
-    values: list = [None] * space.dimension
-    for i in space._topo_order:
-        v = space.variables[i]
-        if v.kind == CONTINUOUS:
-            values[i] = float(rng.uniform(v.lower, v.upper))
-        elif v.kind == INTEGER:
-            values[i] = int(rng.integers(int(v.lower), int(v.upper) + 1))
+    drawn: list = []
+    for continuous, lower, size, domains in space._draw_plan:
+        if continuous:
+            drawn += (lower + size * rng.random(len(size))).tolist()
         else:
-            values[i] = v.categories[int(rng.integers(0, len(v.categories)))]
-    vals = tuple(values)
+            drawn += map(operator.getitem, domains, rng.integers(0, size).tolist())
+    position = space._from_topo_order
+    vals = tuple(drawn) if position is None else tuple([drawn[k] for k in position])
     return Point(values=vals, active=space.activity(vals))
 
 

@@ -88,20 +88,27 @@ class EspProblem(Problem):
         rng = make_rng(derive_seed(seed, "esp-table"))
         self.tables = _generate_tables(self.n_windows, self.n_options,
                                        self.window, rng)
+        self._stacked_tables = np.stack(self.tables)
+        self._window_rows = np.arange(self.n_windows)
+        self._window_slots = self._window_rows[:, None] + np.arange(self.window)
         optimum = _chain_dp_minimum(self.tables, self.n_options, self.window)
         super().__init__("esp-proxy", space, known_optimum=optimum,
                          noise_sigma=noise_sigma, noise_seed=seed)
 
     def option_indices(self, point) -> np.ndarray:
-        return np.array([int(v) for v in point.values], dtype=int)
+        return np.fromiter(map(int, point.values), dtype=int, count=len(point.values))
 
     def objective_of_indices(self, options) -> float:
-        """Objective for a raw option-index vector (used by tests/DP)."""
-        options = np.asarray(options, dtype=int)
-        total = 0.0
-        for w in range(self.n_windows):
-            total += self.tables[w][tuple(options[w:w + self.window])]
-        return float(total)
+        """Objective for a raw option-index vector (used by tests/DP).
+
+        Each window's entry is gathered from the stacked tables in one
+        fancy index, then the entries are added left to right from 0.0,
+        the order the dynamic program uses (``np.cumsum`` is sequential;
+        adding 0.0 keeps an all-zero total at 0.0 rather than -0.0).
+        """
+        windows = np.asarray(options, dtype=int)[self._window_slots]
+        entries = self._stacked_tables[(self._window_rows, *windows.T)]
+        return float(np.cumsum(entries)[-1]) + 0.0
 
     def _objective(self, point) -> float:
         return self.objective_of_indices(self.option_indices(point))

@@ -32,7 +32,7 @@ from sbobench.solvers.acquisition import DEFAULT_BETA
 from sbobench.surrogates import encode_points, fit_gp, fit_least_squares, matern52
 from sbobench.surrogates.least_squares import FAMILIES
 
-from conftest import make_log
+from run_log_helpers import make_log
 
 
 def _elapsed_under(t0: float, limit: float, label: str) -> None:

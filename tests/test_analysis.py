@@ -15,7 +15,7 @@ from sbobench.analysis import (
 )
 from sbobench.core import best_so_far, make_rng
 
-from conftest import make_log
+from run_log_helpers import make_log
 
 
 class TestNormalizeCurves:

@@ -35,7 +35,7 @@ from sbobench.core import (
     space_to_jsonable,
 )
 
-from conftest import make_log
+from run_log_helpers import make_log
 
 
 def _space_1d():

@@ -21,7 +21,7 @@ from sbobench.core import (
     write_run_log,
 )
 
-from conftest import make_log
+from run_log_helpers import make_log
 
 
 class TestRecords:
@@ -167,3 +167,48 @@ class TestRoundTrip:
         )
         back, _ = read_run_log(write_run_log(log, space, tmp_path / "ab.csv"))
         assert back.aborted and back.note == "simulator exited with status 3"
+
+    def test_numpy_scalar_results_are_written_as_floats(self, box_space, tmp_path):
+        pt = box_space.make_point({"x": 0.25, "y": 1.0})
+        log = RunLog("p", "randomsearch", seed=0, rand_init=0, records=(
+            EvaluationRecord(1, pt, np.float64(0.5), np.float64(1.25), np.float32(0.5),
+                             PHASE_MODEL),
+        ))
+        path = write_run_log(log, box_space, tmp_path / "np.csv")
+        assert path.read_text().splitlines()[1] == "1,model_guided,0.25,1.0,0.5,1.25,0.5"
+        back, _ = read_run_log(path)
+        rec = back.records[0]
+        assert (rec.objective, rec.eval_time, rec.solver_time) == (0.5, 1.25, 0.5)
+        assert all(type(v) is float for v in (rec.objective, rec.eval_time, rec.solver_time))
+
+
+class TestMalformedRows:
+    def _written(self, box_space, tmp_path):
+        log = make_log([3.0, 1.0, 2.0], space=box_space,
+                       points=[box_space.make_point({"x": 0.5, "y": 0.0})] * 3)
+        path = write_run_log(log, box_space, tmp_path / "run.csv")
+        return path, path.read_text().splitlines(keepends=True)
+
+    def test_short_row_names_file_line_and_counts(self, box_space, tmp_path):
+        path, lines = self._written(box_space, tmp_path)
+        lines[2] = "2,model_guided,0.5\n"
+        path.write_text("".join(lines))
+        with pytest.raises(ValueError) as err:
+            read_run_log(path)
+        assert str(err.value) == f"{path}, line 3: 3 cells, but the header has 7"
+
+    def test_long_row_names_file_line_and_counts(self, box_space, tmp_path):
+        path, lines = self._written(box_space, tmp_path)
+        lines[1] = lines[1].rstrip("\n") + ",9.0\n"
+        path.write_text("".join(lines))
+        with pytest.raises(ValueError) as err:
+            read_run_log(path)
+        assert str(err.value) == f"{path}, line 2: 8 cells, but the header has 7"
+
+    def test_truncated_last_line_is_named(self, box_space, tmp_path):
+        path, lines = self._written(box_space, tmp_path)
+        path.write_text("".join(lines)[:-12])
+        with pytest.raises(ValueError) as err:
+            read_run_log(path)
+        assert str(err.value).startswith(f"{path}, line 4: ")
+        assert str(err.value).endswith(" cells, but the header has 7")

@@ -16,7 +16,7 @@ from sbobench.analysis import (
 )
 from sbobench.core import make_rng
 
-from conftest import make_log
+from run_log_helpers import make_log
 
 
 class TestReplayCounting:

@@ -139,3 +139,19 @@ class TestValidatePoint:
     def test_non_integer_value_for_integer_variable(self, mixed_space):
         pt = Point(values=("a", 0.5, 2.5, 1.0), active=(True, True, True, False))
         assert validate_point(mixed_space, pt) == "k is not an integer"
+
+    def test_continuous_int_too_large_for_a_float_is_out_of_bounds(self, box_space):
+        pt = Point(values=(10**400, 0.0), active=(True, True))
+        assert validate_point(box_space, pt) == "x out of bounds"
+        below = Point(values=(0.5, -(10**400)), active=(True, True))
+        assert validate_point(box_space, below) == "y out of bounds"
+
+    def test_continuous_int_bounds_are_compared_exactly(self):
+        space = SearchSpace((VariableSpec("x", "continuous", lower=0.0, upper=2.0**53),))
+        assert validate_point(space, Point(values=(2**53,), active=(True,))) is None
+        assert validate_point(space, Point(values=(2**53 + 1,), active=(True,))) == "x out of bounds"
+
+    def test_non_finite_and_non_numeric_continuous_values(self, box_space):
+        for bad in (float("nan"), float("inf"), True, "0.5", None):
+            pt = Point(values=(bad, 0.0), active=(True, True))
+            assert validate_point(box_space, pt) == "x is not a finite number"
