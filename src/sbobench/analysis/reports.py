@@ -13,10 +13,10 @@ from ..core import (
     PHASE_MODEL,
     PHASE_RANDOM,
     CATEGORICAL,
-    CONTINUOUS,
     EvaluationRecord,
     RunLog,
     space_from_jsonable,
+    validate_point,
     write_run_log,
 )
 from .curves import NormalisedCurve
@@ -185,17 +185,21 @@ def convert_external_csv(src_csv, mapping_path, out_csv) -> Path:
 
     records = []
     with open(src_csv, newline="") as fh:
-        for i, row in enumerate(csv.DictReader(fh)):
-            values = {}
-            for v in space.variables:
-                raw = row[var_columns.get(v.name, v.name)]
-                if v.kind == CONTINUOUS:
-                    values[v.name] = float(raw)
-                elif v.kind == CATEGORICAL:
-                    values[v.name] = raw
-                else:
-                    values[v.name] = int(float(raw))
-            point = space.make_point(values)
+        reader = csv.DictReader(fh)
+        for i, row in enumerate(reader):
+            where = f"{src_csv}, line {reader.line_num}"
+            try:
+                # make_point coerces integer cells, rejecting non-integral ones.
+                values = {}
+                for v in space.variables:
+                    cell = row[var_columns.get(v.name, v.name)]
+                    values[v.name] = cell if v.kind == CATEGORICAL else float(cell)
+                point = space.make_point(values)
+            except ValueError as exc:
+                raise ValueError(f"{where}: {exc}") from exc
+            problem = validate_point(space, point)
+            if problem is not None:
+                raise ValueError(f"{where}: {problem}")
             iteration = (
                 int(row[columns["iteration"]]) if "iteration" in columns else i + 1
             )

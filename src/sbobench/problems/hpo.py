@@ -66,8 +66,9 @@ class HpoProblem(Problem):
         self.best_depth = float(rng.uniform(5.0, 9.0))
         self.best_min_leaf = float(rng.uniform(2.0, 8.0))
 
-    def simulated_cost(self, point) -> float:
-        v = self.space.as_mapping(point)
+    @staticmethod
+    def _cost(v) -> float:
+        """Simulated cost of the configuration with name->value mapping ``v``."""
         if v["model"] == "boosted":
             model_cost = 0.018 * v["n_rounds"]
         elif v["model"] == "tree":
@@ -77,13 +78,16 @@ class HpoProblem(Problem):
         mult = {"none": 1.0, "scale": 1.1, "pca": 1.6}[v["preproc"]]
         return (0.3 + model_cost) * mult
 
+    def simulated_cost(self, point) -> float:
+        return self._cost(self.space.as_mapping(point))
+
     def _simulated_cost(self, point) -> float:
         return min(self.simulated_cost(point), self.time_limit)
 
     def _objective(self, point) -> float:
-        if self.simulated_cost(point) > self.time_limit:
-            return 0.0
         v = self.space.as_mapping(point)
+        if self._cost(v) > self.time_limit:
+            return 0.0
         if v["model"] == "boosted":
             score = (2.2
                      - 3.0 * np.log10(v["n_rounds"] / self.best_rounds) ** 2

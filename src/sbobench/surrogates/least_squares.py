@@ -101,9 +101,7 @@ class LeastSquaresModel(SurrogateModel):
         return self._phase_features(self.phases(X))
 
     def predict_encoded(self, X: np.ndarray) -> np.ndarray:
-        if self.W is None:
-            return self.features(X) @ self.coefficients
-        return self.phase_values(self.phases(X))
+        return self.features(X) @ self.coefficients
 
     def gradient_encoded(self, x: np.ndarray) -> np.ndarray:
         """Gradient of the prediction at one encoded vector, or at each row

@@ -8,7 +8,9 @@ pure function of its inputs.  Flat node arrays keep serialisation trivial.
 Trees grow one level at a time: every pending node of every tree being
 grown is scanned in a few batched passes, and the nodes are numbered
 afterwards in best-first order (lowest split cost first), the order in
-which a one-node-at-a-time heap grower would have created them.
+which a one-node-at-a-time heap grower would have created them.  Nothing
+is sorted per fit: each node keeps its rows in row order, and each scan
+batch sorts its nodes' values of every feature stably.
 """
 
 import heapq
@@ -19,8 +21,7 @@ import numpy as np
 LEAF = -1
 
 # A scan batch pads each node's rows to the batch's width; the padded
-# (nodes x features x width) block is kept to about this many elements,
-# and so is each chunk of a level's row partition.
+# (nodes x features x width) block is kept to about this many elements.
 _BATCH_ELEMENTS = 2**14
 # Nodes of up to about this many rows x features share one batch class.
 _SMALL_ELEMENTS = 2**8
@@ -196,21 +197,33 @@ def _scan(xs, stats, sizes, cost, min_leaf):
     return valid, scores[nodes, best], f, threshold
 
 
+def _sorted_scan(XT, samples, stats, sizes, cost, min_leaf):
+    """Lowest-cost split of each node of a batch, as ``_scan`` returns it.
+
+    Row k of ``samples`` lists node k's samples (columns of ``XT``), padded
+    past ``sizes[k]`` with a sample that is NaN in every feature and zero
+    in every statistic.  Every feature's values of each node are sorted
+    stably, so tied rows keep their order and the pad sorts last, and each
+    per-row statistic in ``stats`` is taken in the same order.
+    """
+    k, width = samples.shape
+    column = XT.shape[1] * np.arange(XT.shape[0])[:, None]  # where each feature's values start
+    order = XT.take(samples[:, None, :] + column).argsort(axis=-1, kind="stable")
+    ranked = samples.take(order + width * np.arange(k)[:, None, None])  # (nodes, features, width)
+    return _scan(XT.take(ranked + column), [s.take(ranked) for s in stats], sizes, cost, min_leaf)
+
+
 def best_split(X, stats, cost, min_leaf=1):
     """Lowest-cost axis split of the rows of X as (cost, feature, threshold), or None.
 
-    The one-node case of the batched scan: every column is sorted once
-    and each per-row statistic in ``stats`` is summed down every sorted
-    column.
+    The one-node case of the batched scan.
     """
     n = X.shape[0]
     if n < 2:
         return None
-    columns = np.asarray(X, dtype=float).T
-    order = columns.argsort(axis=1, kind="stable")
-    found, score, f, threshold = _scan(
-        np.take_along_axis(columns, order, axis=1)[None],
-        [np.asarray(s)[order][None] for s in stats], np.array([n]), cost, min_leaf)
+    found, score, f, threshold = _sorted_scan(
+        np.asarray(X, dtype=float).T, np.arange(n)[None], [np.asarray(s) for s in stats],
+        np.array([n]), cost, min_leaf)
     return (float(score[0]), int(f[0]), float(threshold[0])) if found[0] else None
 
 
@@ -232,71 +245,36 @@ def _batches(sizes, d):
             yield members[lo:lo + per_batch]
 
 
-def _line_chunks(n_lines, width):
-    """Slices of lines of a (lines, width) array, about ``_BATCH_ELEMENTS`` elements each."""
-    step = max(1, _BATCH_ELEMENTS // max(width, 1))
-    return [slice(lo, min(lo + step, n_lines)) for lo in range(0, n_lines, step)]
-
-
-def _presorted(XT, sample, sizes):
-    """The first level's ``node_rows``: each root's rows by every feature, then in row order.
-
-    Row r is sample ``sample[r]``, a column of ``XT``; rows are numbered
-    tree by tree, ``sizes[t]`` rows for tree t.  Line f of the result
-    lists every tree's rows in the stable order of feature f, tree by
-    tree; the last line lists all rows in order.
-    """
-    d, n_rows = XT.shape[0], sizes.sum()
-    tree_of = np.repeat(np.arange(sizes.size), sizes)
-    node_rows = np.empty((d + 1, n_rows), dtype=np.int32)
-    for lines in _line_chunks(d, n_rows):
-        values = XT[lines].take(sample[:n_rows], axis=1)
-        node_rows[lines] = np.lexsort((values, np.broadcast_to(tree_of, values.shape)))
-    node_rows[d] = np.arange(n_rows)
-    return node_rows
-
-
-def _scan_level(XT, sample, stats, node_rows, starts, sizes, scan, out, cost, min_leaf):
+def _scan_level(XT, samples, stats, starts, sizes, scan, out, cost, min_leaf):
     """Write the best split of each node listed in ``scan`` into the arrays ``out``.
 
     ``out`` holds (found, cost, feature, threshold) arrays over the level's
-    nodes; node k owns columns ``starts[k]:starts[k] + sizes[k]`` of
-    ``node_rows``.  The last row of ``sample`` is the pad.
+    nodes; node k owns ``samples[starts[k]:starts[k] + sizes[k]]``.  The
+    last column of ``XT`` is the pad.
     """
-    d, pad = XT.shape[0], sample.size - 1
-    column_start = XT.shape[1] * np.arange(d)[:, None]
-    last = node_rows.shape[1] - 1
-    for batch in _batches(sizes[scan], d):
+    pad, last = XT.shape[1] - 1, samples.size - 1
+    for batch in _batches(sizes[scan], XT.shape[0]):
         nodes = scan[batch]
         position = np.arange(sizes[nodes].max())
-        real = position < sizes[nodes][:, None]
         at = np.minimum(starts[nodes][:, None] + position, last)
-        rows = np.where(real[:, None, :], node_rows[:d, at].transpose(1, 0, 2), pad)
-        samples = sample.take(rows)  # (nodes, features, width)
-        result = _scan(XT.take(samples + column_start), [s.take(samples) for s in stats],
-                       sizes[nodes], cost, min_leaf)
+        padded = np.where(position < sizes[nodes][:, None], samples[at], pad)
+        result = _sorted_scan(XT, padded, stats, sizes[nodes], cost, min_leaf)
         for column, part in zip(out, result):
             column[nodes] = part
 
 
-def _partition(XT, sample, node_rows, sizes, found, feature, threshold, child_of):
-    """The next level's ``node_rows`` and node sizes.
+def _partition(XT, samples, sizes, found, feature, threshold):
+    """The next level's samples and node sizes.
 
-    Every line of each split node's rows is partitioned stably into its
-    left child's rows, then its right child's, so each child keeps its
-    parent's orders.  ``child_of`` is scratch space, one entry per row.
+    Each split node's samples are partitioned stably into its left
+    child's, then its right child's, so every child keeps them in order.
     """
     keep = found.repeat(sizes)
     sizes = sizes[found]
-    rows = node_rows[-1, keep]
-    go_right = ~(XT[feature[found].repeat(sizes), sample[rows]] <= threshold[found].repeat(sizes))
-    child_of[rows] = (2 * np.arange(sizes.size)).repeat(sizes) + go_right
-    children = np.empty((node_rows.shape[0], rows.size), dtype=node_rows.dtype)
-    for lines in _line_chunks(node_rows.shape[0], rows.size):
-        part = node_rows[lines][:, keep]
-        order = child_of[part].argsort(axis=1, kind="stable")
-        children[lines] = part.take(order + rows.size * np.arange(len(part))[:, None])
-    return children, np.bincount(child_of[rows], minlength=2 * sizes.size)
+    samples = samples[keep]
+    go_right = ~(XT[feature[found].repeat(sizes), samples] <= threshold[found].repeat(sizes))
+    child = (2 * np.arange(sizes.size)).repeat(sizes) + go_right
+    return samples[child.argsort(kind="stable")], np.bincount(child, minlength=2 * sizes.size)
 
 
 def _best_first(root, found, score, child, max_leaves, order, splits):
@@ -367,52 +345,43 @@ def grow(X, y, stats, cost, value, roots, min_leaf=1, max_depth=None, max_leaves
         # A node at depth max_leaves - 1 is created with max_leaves leaves already.
         max_depth = max_leaves - 1 if max_depth is None else min(max_depth, max_leaves - 1)
     X = np.asarray(X, dtype=float)
+    y = np.asarray(y)
+    # Node k of a level owns the next sizes[k] entries of samples, rows of
+    # X in the order its root lists them.  One more column of XT, last,
+    # pads the scan batches: it is NaN in every feature, and its entry of
+    # every statistic is zero.
     sizes = np.array([len(r) for r in roots], dtype=int)
-    # Rows are numbered tree by tree in root order, row r being sample
-    # sample[r].  One more row, last, pads the scan batches: its sample
-    # is NaN in every column and zero in every statistic.
-    sample = np.concatenate([np.asarray(r, dtype=int) for r in roots] + [[X.shape[0]]])
+    samples = np.concatenate([np.asarray(r, dtype=int) for r in roots])
     XT = np.vstack((X, np.full(X.shape[1], np.nan))).T.copy()
     stats = [np.append(s, 0) for s in stats]
-    ys = np.asarray(y)[sample[:-1]]
-    node_rows = _presorted(XT, sample, sizes)
-    child_of = np.empty(ys.size, dtype=np.int32)
     levels = []
     while sizes.size:
         m = sizes.size
         ends = sizes.cumsum()
         starts = ends - sizes
-        targets = ys[node_rows[-1]]
+        targets = y[samples]
         level = (sizes, targets, np.zeros(m, dtype=bool), np.full(m, np.inf),
                  np.full(m, LEAF), np.zeros(m))
         if max_depth is None or len(levels) < max_depth:
             changes = np.concatenate(([0], (targets != targets[starts].repeat(sizes)).cumsum()))
             scan = ((sizes >= 2 * min_leaf) & (changes[ends] > changes[starts])).nonzero()[0]
-            _scan_level(XT, sample, stats, node_rows, starts, sizes, scan, level[2:], cost,
-                        min_leaf)
+            _scan_level(XT, samples, stats, starts, sizes, scan, level[2:], cost, min_leaf)
         levels.append(level)
         found, _, feature, threshold = level[2:]
-        node_rows, sizes = _partition(XT, sample, node_rows, sizes, found, feature, threshold,
-                                      child_of)
+        samples, sizes = _partition(XT, samples, sizes, found, feature, threshold)
     sizes, targets, found, score, feature, threshold = (np.concatenate(a) for a in zip(*levels))
     return _number_trees(len(roots), found, score, feature, threshold,
                          value(targets, sizes), max_leaves)
 
 
-def _regression_inputs(X, y, min_leaf):
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
+def build_regression_trees(X: np.ndarray, y: np.ndarray, roots, min_leaf: int = 1,
+                           max_depth: int | None = None) -> list[RegressionTree]:
+    """Squared-error trees grown together, tree t on rows ``roots[t]`` of X and y."""
+    X, y = np.asarray(X, dtype=float), np.asarray(y, dtype=float)
     if X.ndim != 2 or X.shape[0] != y.size or X.shape[0] == 0:
         raise ValueError("X must be (n, d) with matching targets")
     if min_leaf < 1:
         raise ValueError("min_leaf must be at least 1")
-    return X, y
-
-
-def build_regression_trees(X: np.ndarray, y: np.ndarray, roots, min_leaf: int = 1,
-                           max_depth: int | None = None) -> list[RegressionTree]:
-    """Squared-error trees grown together, tree t on rows ``roots[t]`` of X and y."""
-    X, y = _regression_inputs(X, y, min_leaf)
     return [RegressionTree(*nodes)
             for nodes in grow(X, y, (y, y * y), sse_cost, _means, roots, min_leaf, max_depth)]
 
@@ -420,5 +389,5 @@ def build_regression_trees(X: np.ndarray, y: np.ndarray, roots, min_leaf: int = 
 def build_regression_tree(X: np.ndarray, y: np.ndarray, min_leaf: int = 1,
                           max_depth: int | None = None) -> RegressionTree:
     """Grow a deterministic squared-error tree to purity or the caps."""
-    X, y = _regression_inputs(X, y, min_leaf)
-    return build_regression_trees(X, y, [np.arange(X.shape[0])], min_leaf, max_depth)[0]
+    # A y that does not match X's rows fails build_regression_trees' checks.
+    return build_regression_trees(X, y, [np.arange(np.size(y))], min_leaf, max_depth)[0]

@@ -296,3 +296,34 @@ class TestConvertExternalCsv:
         out = convert_external_csv(src, mapping_path, tmp_path / "native.csv")
         log, _ = read_run_log(out)
         assert [r.iteration for r in log.records] == [1, 2, 3]
+
+    @staticmethod
+    def _set_cell(src, column, cell):
+        """Overwrite ``column`` of the second data row (line 3 of the file)."""
+        with open(src, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        rows[1][column] = cell
+        with open(src, "w", newline="") as fh:
+            writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+            writer.writeheader()
+            writer.writerows(rows)
+
+    @pytest.mark.parametrize("column, cell, message", [
+        ("k", "3.7", "k: integer variable got non-integral 3.7"),
+        ("k", "6", "k out of bounds"),
+        ("method", "c", "alg is not a valid category"),
+    ])
+    def test_bad_cells_are_rejected_with_file_and_line(self, tmp_path, column, cell, message):
+        src, mapping_path, _ = self._write_foreign(tmp_path)
+        self._set_cell(src, column, cell)
+        with pytest.raises(ValueError) as info:
+            convert_external_csv(src, mapping_path, tmp_path / "native.csv")
+        assert str(info.value) == f"{src}, line 3: {message}"
+        assert not (tmp_path / "native.csv").exists()
+
+    def test_integral_float_cell_is_accepted(self, tmp_path):
+        src, mapping_path, _ = self._write_foreign(tmp_path)
+        self._set_cell(src, "k", "3.0")
+        log, _ = read_run_log(convert_external_csv(src, mapping_path, tmp_path / "native.csv"))
+        assert log.records[1].point.values == (0.75, 3, "b")
+        assert type(log.records[1].point.values[1]) is int

@@ -11,14 +11,17 @@ must give exactly the per-tree predictions.
 
 import heapq
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from sbobench.analysis import rules
-from sbobench.core import SearchSpace, VariableSpec, make_rng
+from sbobench.core import SearchSpace, VariableSpec, make_rng, sample_uniform
+from sbobench.problems import esp_proxy
 from sbobench.surrogates import BoostedTreesModel, RandomForestModel, fit_boosted, fit_forest
 from sbobench.surrogates import trees
+from sbobench.surrogates.encoding import encode_points
 from sbobench.surrogates.trees import (LEAF, RegressionTree, TreeStack, build_regression_tree,
                                        build_regression_trees)
 
@@ -255,6 +258,33 @@ def test_rules_tree_matches_heap_grower(kind):
         assert_same_nodes(tree, reference)
         assert tree.labels == reference.labels
         assert tree.to_jsonable() == reference.to_jsonable()
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_small_batches_match_heap_grower(monkeypatch, kind):
+    """Levels split over many batches, every size class and padding run at small n."""
+    monkeypatch.setattr(trees, "_BATCH_ELEMENTS", 2**6)
+    monkeypatch.setattr(trees, "_SMALL_ELEMENTS", 2**2)
+    for d in (1, 7, 10, 49):
+        test_forest_matches_tree_by_tree_growth(kind, d)
+    test_rules_tree_matches_heap_grower(kind)
+
+
+def test_forest_fit_memory_stays_capped():
+    """The scan batches bound the grower's memory, not the forest's size."""
+    problem = esp_proxy(seed=0)
+    rng = make_rng(5)
+    points = [sample_uniform(problem.space, rng) for _ in range(150)]
+    X = encode_points(problem.space, points)
+    y = np.array([problem.evaluate(p, virtual=True)[0] for p in points])
+    assert X.shape == (150, 49)
+    tracemalloc.start()
+    try:
+        fit_forest(problem.space, X, y, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 @pytest.mark.parametrize("lower, upper", [
