@@ -2,10 +2,13 @@
 
 Floats are serialised with ``repr``, which round-trips exactly in
 Python 3, so a grid written with :func:`write_grid_csv` and re-read
-with :func:`read_grid_csv` compares equal to the original.
+with :func:`read_grid_csv` compares equal to the original.  Every
+report is written atomically (temp file + rename), as run logs are, so
+a reader never sees a half-written file.
 """
 
 import csv
+import io
 import json
 from pathlib import Path
 
@@ -19,6 +22,7 @@ from ..core import (
     validate_point,
     write_run_log,
 )
+from ..core.runio import _atomic_write
 from .curves import NormalisedCurve
 from .offline import OfflineEvalResult
 from .replay import ReplayCell, ReplayGrid
@@ -27,20 +31,31 @@ from .rules import RulesTree
 _MEAN_PREFIX = "mean_"
 
 
+def _write_csv(path, header: list, rows) -> Path:
+    path = Path(path)
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(rows)
+    _atomic_write(path, buf.getvalue())
+    return path
+
+
+def _write_json(path, payload: dict) -> Path:
+    path = Path(path)
+    _atomic_write(path, json.dumps(payload, indent=2) + "\n")
+    return path
+
+
 def write_curves_csv(curves: dict, path) -> Path:
     """One row per (solver, iteration) with mean/std and scale metadata."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["solver", "iteration", "mean", "std", "r0", "r1", "n_runs"])
-        for solver in sorted(curves):
-            curve = curves[solver]
-            for it, mean, std in zip(curve.iterations, curve.mean, curve.std):
-                writer.writerow(
-                    [solver, it, repr(mean), repr(std), repr(curve.r0), repr(curve.r1), curve.n_runs]
-                )
-    return path
+    rows = (
+        [solver, it, repr(mean), repr(std), repr(curve.r0), repr(curve.r1), curve.n_runs]
+        for solver, curve in sorted(curves.items())
+        for it, mean, std in zip(curve.iterations, curve.mean, curve.std)
+    )
+    return _write_csv(path, ["solver", "iteration", "mean", "std", "r0", "r1", "n_runs"],
+                      rows)
 
 
 def read_curves_csv(path) -> dict:
@@ -64,53 +79,50 @@ def read_curves_csv(path) -> dict:
 
 def write_grid_csv(grid: ReplayGrid, path) -> Path:
     """One row per grid cell; undefined cells leave winner/means empty."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["budget", "eval_time", "defined", "winner"]
-            + [_MEAN_PREFIX + s for s in grid.solvers]
-        )
-        for cell in grid.cells:
-            row = [repr(cell.budget), repr(cell.eval_time)]
-            if cell.defined:
-                row += ["true", cell.winner]
-                row += [repr(cell.means[s]) for s in grid.solvers]
-            else:
-                row += ["false", ""] + [""] * len(grid.solvers)
-            writer.writerow(row)
-    return path
+    rows = []
+    for cell in grid.cells:
+        row = [repr(cell.budget), repr(cell.eval_time)]
+        if cell.defined:
+            row += ["true", cell.winner]
+            row += [repr(cell.means[s]) for s in grid.solvers]
+        else:
+            row += ["false", ""] + [""] * len(grid.solvers)
+        rows.append(row)
+    header = ["budget", "eval_time", "defined", "winner"]
+    return _write_csv(path, header + [_MEAN_PREFIX + s for s in grid.solvers], rows)
 
 
 def read_grid_csv(path) -> ReplayGrid:
+    """Read a grid written by :func:`write_grid_csv`; ValueError names a damaged line."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader)
         solvers = tuple(
             name[len(_MEAN_PREFIX):] for name in header[4:]
         )
-        budgets: list = []
-        eval_times: list = []
         cells = []
         for row in reader:
-            budget, eval_time = float(row[0]), float(row[1])
-            if budget not in budgets:
-                budgets.append(budget)
-            if eval_time not in eval_times:
-                eval_times.append(eval_time)
-            if row[2] == "true":
-                means = {s: float(v) for s, v in zip(solvers, row[4:])}
-                cells.append(ReplayCell(budget, eval_time, True, means, row[3]))
-            else:
-                cells.append(ReplayCell(budget, eval_time, False))
-    return ReplayGrid(tuple(budgets), tuple(eval_times), solvers, tuple(cells))
+            where = f"{path}, line {reader.line_num}"
+            if len(row) != len(header):
+                raise ValueError(f"{where}: {len(row)} cells, but the header has {len(header)}")
+            if row[2] not in ("true", "false"):
+                raise ValueError(f"{where}: defined is {row[2]!r}, not true or false")
+            defined = row[2] == "true"
+            try:
+                means = {s: float(v) for s, v in zip(solvers, row[4:])} if defined else {}
+                cells.append(ReplayCell(float(row[0]), float(row[1]), defined, means, row[3]))
+            except ValueError as exc:
+                raise ValueError(f"{where}: {exc}") from exc
+    budgets = tuple(dict.fromkeys(c.budget for c in cells))
+    eval_times = tuple(dict.fromkeys(c.eval_time for c in cells))
+    if [(c.budget, c.eval_time) for c in cells] != [(b, e) for b in budgets for e in eval_times]:
+        raise ValueError(f"{path}, line {reader.line_num}: {len(cells)} cells do not fill "
+                         f"{len(budgets)} budgets x {len(eval_times)} eval times")
+    return ReplayGrid(budgets, eval_times, solvers, tuple(cells))
 
 
 def write_rules_json(tree: RulesTree, train_accuracy: float, test_accuracy: float, path) -> Path:
     """Nested if/else structure plus one textual rule per leaf."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     payload = {
         "feature_names": list(tree.feature_names),
         "labels": list(tree.labels),
@@ -121,15 +133,10 @@ def write_rules_json(tree: RulesTree, train_accuracy: float, test_accuracy: floa
         "tree": tree.to_jsonable(),
         "rules": list(tree.text_rules()),
     }
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
-    return path
+    return _write_json(path, payload)
 
 
 def write_offline_json(result: OfflineEvalResult, path) -> Path:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     payload = {
         "family": result.family,
         "train_mae": {"mean": result.train_mae_mean, "std": result.train_mae_std},
@@ -138,10 +145,7 @@ def write_offline_json(result: OfflineEvalResult, path) -> Path:
         "test_size": result.test_size,
         "truncated": result.truncated,
     }
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
-    return path
+    return _write_json(path, payload)
 
 
 def emit_report(result, path) -> Path:

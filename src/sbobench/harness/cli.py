@@ -8,15 +8,14 @@ Positional tokens are one problem, at least one solver, and optional
 override strings of the form ``kind.param=value`` where ``kind`` is a
 solver token or the problem token (e.g. ``gp-ucb.beta=1.0`` or
 ``pipe-proxy.d=5``).  Exit codes: 0 success, 1 if any run aborted on an
-evaluation error, 2 on a usage error.
+evaluation error (a failed external command or a non-finite objective;
+the run keeps its partial log and note), 2 on a usage error.
 """
 
 import argparse
-import json
 import os
 import sys
 
-from ..core.runio import sidecar_path
 from ..problems import available_problems
 from ..solvers import available_solvers, canonical_kind
 from .config import ExperimentConfig
@@ -145,18 +144,12 @@ def main(argv=None) -> int:
     except SystemExit as err:  # argparse flag errors
         return int(err.code or 0)
 
-    paths, any_aborted = run_experiment(cfg)
+    paths, aborted = run_experiment(cfg)
     for path in paths:
         print(path)
-    if any_aborted:
-        for path in paths:
-            with open(sidecar_path(path), "r", encoding="utf-8") as fh:
-                meta = json.load(fh)
-            if meta.get("aborted"):
-                print(f"aborted: {path}: {meta.get('note', '')}",
-                      file=sys.stderr)
-        return 1
-    return 0
+    for path, note in aborted.items():
+        print(f"aborted: {path}: {note}", file=sys.stderr)
+    return 1 if aborted else 0
 
 
 if __name__ == "__main__":

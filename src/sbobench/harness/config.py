@@ -39,7 +39,7 @@ class ExperimentConfig:
             raise ValueError("rand_init must be at least 1")
         if self.rand_init > self.max_eval:
             raise ValueError("rand_init (R) exceeds max_eval")
-        if self.budget_seconds is not None and self.budget_seconds < 0:
+        if self.budget_seconds is not None and not self.budget_seconds >= 0:
             raise ValueError("budget_seconds must be non-negative")
         if self.jobs < 1:
             raise ValueError("jobs must be at least 1")

@@ -16,9 +16,9 @@ eval_time only, and the *recorded* solver_time is 0.0, so that
 rerunning a configuration, budget included, yields byte-identical CSV
 files on any machine.
 
-An :class:`EvaluationError` (external command failed) aborts the run:
-the partial log is kept, flagged ``aborted``, with the diagnostic in
-``note``.
+An :class:`EvaluationError` (a failed external command or a non-finite
+objective) aborts the run: the partial log is kept, flagged
+``aborted``, with the diagnostic in ``note``.
 """
 
 import time
@@ -98,7 +98,8 @@ def log_filename(problem_id: str, solver_id: str, repetition: int) -> str:
 def run_experiment(cfg: ExperimentConfig):
     """Run every (solver, repetition) pair and write one log per run.
 
-    Returns the list of CSV paths in (solver, repetition) order.  Runs
+    Returns the list of CSV paths in (solver, repetition) order and a
+    ``{path: note}`` mapping of the aborted runs, in the same order.  Runs
     are independent: each builds its own problem, whose noise stream is
     keyed by (solver, repetition), so a run's log does not depend on
     which other runs are in the experiment or on their scheduling.  With
@@ -132,7 +133,7 @@ def run_experiment(cfg: ExperimentConfig):
         )
         path = out_dir / log_filename(problem.id, solver.kind, repetition)
         write_run_log(log, problem.space, path, extra=header)
-        return path, log.aborted
+        return path, (log.note if log.aborted else None)
 
     tasks = [(kind, t) for kind in cfg.solvers
              for t in range(1, cfg.repetitions + 1)]
@@ -142,5 +143,5 @@ def run_experiment(cfg: ExperimentConfig):
     else:
         results = [one(task) for task in tasks]
     paths = [path for path, _ in results]
-    any_aborted = any(flag for _, flag in results)
-    return paths, any_aborted
+    aborted = {path: note for path, note in results if note is not None}
+    return paths, aborted

@@ -3,15 +3,23 @@
 A :class:`Problem` owns a search space and maps valid points to
 ``(objective, eval_time)`` pairs.  Objectives are minimised.  Constraint
 violations are encoded as exact penalty plateaus rather than errors, so
-the evaluator is total on valid points.
+the evaluator is total on valid points.  Every problem evaluates through
+:meth:`Problem.evaluate`; subclasses supply only ``_objective``.
 
 Two timing modes exist.  In real mode ``eval_time`` is the measured
 wall-clock of the evaluation.  In virtual mode it is the problem's
 deterministic simulated cost (0.0 unless the problem defines one), which
 keeps repeated runs byte-identical while still letting the harness's
-simulated clock advance realistically.
+simulated clock advance realistically.  :func:`with_delay` adds a
+measured sleep in real mode and exactly the delay in virtual mode.
+
+A failed external command or a non-finite objective raises
+:class:`EvaluationError`, which aborts the run: its partial log and
+note are kept, and the CLI exits with code 1.
 """
 
+import copy
+import math
 import time
 
 from ..core import make_rng, validate_point
@@ -19,7 +27,7 @@ from ..core.rng import derive_seed
 
 
 class EvaluationError(RuntimeError):
-    """An external evaluation failed; the harness aborts the run."""
+    """An evaluation failed or gave a non-finite objective; the harness aborts the run."""
 
 
 class Problem:
@@ -30,8 +38,11 @@ class Problem:
     model adds eps ~ N(0, noise_sigma^2) to every returned objective,
     drawn from a problem-owned stream (see :meth:`seed_noise`); it is
     disabled by default so problems are deterministic functions of the
-    point.
+    point.  ``delay`` is the artificial cost per call that
+    :func:`with_delay` raises.
     """
+
+    delay = 0.0
 
     def __init__(self, problem_id, space, known_optimum=None,
                  noise_sigma=0.0, noise_seed=0):
@@ -55,59 +66,41 @@ class Problem:
     def _simulated_cost(self, point) -> float:
         return 0.0
 
-    def _require_valid(self, point) -> None:
-        """Raise ValueError unless ``point`` is valid in this problem's space."""
+    def evaluate(self, point, virtual: bool = False) -> tuple[float, float]:
+        """Return (objective, eval_time) for a valid point.
+
+        Raises ValueError for an invalid point and EvaluationError for a
+        non-finite objective.
+        """
         message = validate_point(self.space, point)
         if message is not None:
             raise ValueError(f"invalid point for problem {self.id}: {message}")
-
-    def evaluate(self, point, virtual: bool = False) -> tuple[float, float]:
-        """Return (objective, eval_time) for a valid point."""
-        self._require_valid(point)
+        start = time.perf_counter()
+        objective = float(self._objective(point))
+        if not math.isfinite(objective):
+            raise EvaluationError(f"{self.id}: objective {objective} is not finite")
         if virtual:
-            objective = self._objective(point)
-            eval_time = float(self._simulated_cost(point))
+            eval_time = float(self._simulated_cost(point)) + self.delay
         else:
-            start = time.perf_counter()
-            objective = self._objective(point)
+            if self.delay:
+                time.sleep(self.delay)
             eval_time = time.perf_counter() - start
         if self._noise_rng is not None:
-            objective = objective + self.noise_sigma * self._noise_rng.standard_normal()
+            objective += self.noise_sigma * self._noise_rng.standard_normal()
         return float(objective), float(eval_time)
-
-
-class _DelayedProblem(Problem):
-    """Wrapper adding a fixed artificial delay to every evaluation."""
-
-    def __init__(self, inner: Problem, delay: float):
-        super().__init__(inner.id, inner.space, known_optimum=inner.known_optimum)
-        self._inner = inner
-        self._delay = float(delay)
-
-    def seed_noise(self, seed: int) -> None:
-        """Restart the inner problem's noise stream; the delay adds no noise."""
-        # Problem.__init__ calls this before the inner problem is attached,
-        # and that call must leave the inner problem's stream alone.
-        inner = getattr(self, "_inner", None)
-        if inner is not None:
-            inner.seed_noise(seed)
-
-    def evaluate(self, point, virtual: bool = False) -> tuple[float, float]:
-        objective, eval_time = self._inner.evaluate(point, virtual=virtual)
-        if virtual:
-            return objective, eval_time + self._delay
-        start = time.perf_counter()
-        time.sleep(self._delay)
-        return objective, eval_time + (time.perf_counter() - start)
 
 
 def with_delay(problem: Problem, delay: float) -> Problem:
     """Make `problem` artificially expensive by `delay` seconds per call.
 
-    Objectives are unchanged.  In real mode the wrapper sleeps for
-    `delay` and adds the measured sleep (at least `delay`) to the
-    reported eval_time; in virtual mode it adds exactly `delay`.
+    Returns a shallow copy whose ``delay`` is raised by ``delay``; the
+    original is left alone, and the copy continues its noise stream
+    until reseeded.  Objectives are unchanged.  In real mode each call
+    sleeps for the delay and reports the measured time, sleep included
+    (at least ``delay``); in virtual mode it adds exactly ``delay``.
     """
     if delay < 0:
         raise ValueError("delay must be non-negative")
-    return _DelayedProblem(problem, delay)
+    delayed = copy.copy(problem)
+    delayed.delay = problem.delay + float(delay)
+    return delayed

@@ -4,9 +4,11 @@ The command template must contain an ``{input}`` placeholder.  Each
 evaluation writes the point to a JSON file (a flat name -> value
 mapping), substitutes its path into the template, runs the command, and
 parses a single real number from standard output.  Any failure —
-nonzero exit, unparseable output, or timeout — raises
+nonzero exit, unparseable or non-finite output, or timeout — raises
 :class:`EvaluationError` so the harness aborts the run loudly instead
-of recording a silent penalty.
+of recording a silent penalty: the run keeps its partial log and note,
+and the CLI exits with code 1.  The command runs for real in both
+timing modes, so ``eval_time`` is always measured wall-clock.
 
 The search space is described by a JSON file holding the same variable
 schema as a run-log sidecar: either a bare list of variable objects or
@@ -18,7 +20,6 @@ import os
 import shlex
 import subprocess
 import tempfile
-import time
 
 from ..core.space import space_from_jsonable
 from .base import EvaluationError, Problem
@@ -42,15 +43,14 @@ class SubprocessProblem(Problem):
         self.timeout = timeout
 
     def evaluate(self, point, virtual: bool = False) -> tuple[float, float]:
-        # External commands always run for real; eval_time is measured
-        # wall-clock in both modes.
-        self._require_valid(point)
+        return super().evaluate(point)  # the command always runs for real
+
+    def _objective(self, point) -> float:
         fd, path = tempfile.mkstemp(suffix=".json", prefix="sbobench-point-")
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
                 json.dump(self.space.as_mapping(point), fh)
             argv = shlex.split(self.command_template.format(input=path))
-            start = time.perf_counter()
             try:
                 proc = subprocess.run(argv, capture_output=True, text=True,
                                       timeout=self.timeout)
@@ -60,25 +60,23 @@ class SubprocessProblem(Problem):
                 ) from err
             except OSError as err:
                 raise EvaluationError(f"{self.id}: cannot run command: {err}") from err
-            eval_time = time.perf_counter() - start
-            if proc.returncode != 0:
-                raise EvaluationError(
-                    f"{self.id}: command exited with status {proc.returncode}: "
-                    f"{proc.stderr.strip()[:500]}"
-                )
-            try:
-                objective = float(proc.stdout.strip())
-            except ValueError as err:
-                raise EvaluationError(
-                    f"{self.id}: expected a single real on stdout, got "
-                    f"{proc.stdout.strip()[:200]!r}"
-                ) from err
-            return objective, eval_time
         finally:
             try:
                 os.unlink(path)
             except OSError:
                 pass
+        if proc.returncode != 0:
+            raise EvaluationError(
+                f"{self.id}: command exited with status {proc.returncode}: "
+                f"{proc.stderr.strip()[:500]}"
+            )
+        try:
+            return float(proc.stdout.strip())
+        except ValueError as err:
+            raise EvaluationError(
+                f"{self.id}: expected a single real on stdout, got "
+                f"{proc.stdout.strip()[:200]!r}"
+            ) from err
 
 
 def subprocess_problem(command_template: str, space_file,

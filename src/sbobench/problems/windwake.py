@@ -31,8 +31,8 @@ WAKE_DECAY_LENGTHS = 10.0
 REFERENCE_SPEED = 10.0
 
 
-def turbine_power(speed: float) -> float:
-    """Relative power of one turbine at the given wind speed."""
+def turbine_power(speed):
+    """Relative power of a turbine at the given wind speed (elementwise on arrays)."""
     return (speed / REFERENCE_SPEED) ** 3
 
 
@@ -86,7 +86,7 @@ class WindWakeProblem(Problem):
         deficit = np.where(downwind > 0.0, deficit, 0.0)
         total = np.minimum(deficit.sum(axis=1), 1.0)
         speeds = speed * (1.0 - total)
-        return float(np.sum((speeds / REFERENCE_SPEED) ** 3))
+        return float(np.sum(turbine_power(speeds)))
 
     def _objective(self, point) -> float:
         positions = self.layout(point)

@@ -7,6 +7,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from sbobench.core.runio import _atomic_write
 from sbobench.core.space import Point, SearchSpace, space_from_jsonable, space_to_jsonable
 from sbobench.surrogates.encoding import encode_points
 
@@ -49,7 +50,7 @@ class SurrogateModel(ABC):
         payload = self.to_jsonable()
         payload["family"] = self.family
         payload["space"] = space_to_jsonable(self.space)
-        Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        _atomic_write(Path(path), json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 _LOADERS: dict = {}

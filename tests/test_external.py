@@ -62,6 +62,16 @@ def test_unparseable_output_raises(space_file):
         p.evaluate(sample_uniform(p.space, rng))
 
 
+@pytest.mark.parametrize("text", ["nan", "inf"])
+def test_non_finite_output_raises(space_file, text):
+    p = subprocess_problem(
+        f"{sys.executable} -c \"print('{text}')\" {{input}}", space_file
+    )
+    rng = make_rng(5)
+    with pytest.raises(EvaluationError, match="not finite"):
+        p.evaluate(sample_uniform(p.space, rng))
+
+
 def test_timeout_raises(space_file):
     p = subprocess_problem(
         f"{sys.executable} -c \"import time; time.sleep(5)\" {{input}}",

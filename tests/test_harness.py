@@ -328,6 +328,47 @@ class TestCliMain:
         assert meta["aborted"] is True
         assert meta["empty"] is True
 
+    def test_non_finite_objective_aborts_each_run_keeping_its_log(self, tmp_path, capsys):
+        class NanOnFourth(Problem):
+            def __init__(self):
+                super().__init__("nan-fourth", sphere(d=2).space)
+                self.calls = 0
+
+            def _objective(self, point):
+                self.calls += 1
+                return float("nan") if self.calls == 4 else 1.0
+
+        register_problem("nan-fourth", NanOnFourth)
+        try:
+            code = main([
+                "--max-eval=8", "--rand-evals-all=3", "--virtual-time",
+                f"--out-path={tmp_path}", "nan-fourth", "randomsearch", "forest-ucb",
+            ])
+        finally:
+            unregister_problem("nan-fourth")
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        aborted = [line for line in err if line.startswith("aborted: ")]
+        assert len(aborted) == 2
+        assert all("nan-fourth: objective nan is not finite" in line for line in aborted)
+        for solver in ("randomsearch", "forest-ucb"):
+            csv_path = tmp_path / f"nan-fourth__{solver}__r001.csv"
+            assert csv_path.exists()
+            meta = json.loads(sidecar_path(csv_path).read_text())
+            assert meta["aborted"] is True
+            assert "not finite" in meta["note"]
+        logs = load_run_logs(tmp_path)
+        assert [len(log.records) for log, _ in logs] == [3, 3]
+
+    def test_nan_budget_is_usage_error(self, tmp_path, capsys):
+        code = main([
+            "--budget-seconds=nan", "--max-eval=5", "--rand-evals-all=2",
+            "--virtual-time", f"--out-path={tmp_path}", "pipe-proxy", "randomsearch",
+        ])
+        assert code == 2
+        assert "budget_seconds must be non-negative" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
 
 def test_module_entry_point_runs_without_runtime_warning():
     src = str(Path(sbobench.__file__).resolve().parent.parent)

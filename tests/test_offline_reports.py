@@ -170,6 +170,33 @@ class TestReportRoundTrips:
         path = write_grid_csv(grid, tmp_path / "grid.csv")
         assert read_grid_csv(path) == grid
 
+    @staticmethod
+    def _two_by_two(tmp_path):
+        means = {"a": 0.5, "b": 0.75}
+        cells = tuple(ReplayCell(b, e, True, means, "a")
+                      for b in (1.0, 2.0) for e in (0.1, 0.2))
+        grid = ReplayGrid((1.0, 2.0), (0.1, 0.2), ("a", "b"), cells)
+        return write_grid_csv(grid, tmp_path / "grid.csv")
+
+    def test_grid_csv_cut_mid_row_is_rejected(self, tmp_path):
+        path = self._two_by_two(tmp_path)
+        path.write_bytes(path.read_bytes()[:-12])
+        with pytest.raises(ValueError, match=r"grid\.csv, line 5: 4 cells, but the header has 6"):
+            read_grid_csv(path)
+
+    def test_grid_csv_missing_row_is_rejected(self, tmp_path):
+        path = self._two_by_two(tmp_path)
+        lines = path.read_bytes().splitlines(keepends=True)
+        path.write_bytes(b"".join(lines[:-1]))
+        with pytest.raises(ValueError, match=r"grid\.csv, line 4: 3 cells do not fill"):
+            read_grid_csv(path)
+
+    def test_grid_csv_bad_defined_flag_is_rejected(self, tmp_path):
+        path = self._two_by_two(tmp_path)
+        path.write_bytes(path.read_bytes().replace(b",true,", b",yes,", 1))
+        with pytest.raises(ValueError, match=r"grid\.csv, line 2: defined is 'yes'"):
+            read_grid_csv(path)
+
     def test_curves_csv_round_trip(self, tmp_path):
         rng = make_rng(53)
         logs = []

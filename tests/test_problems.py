@@ -324,6 +324,18 @@ class TestDelayWrapper:
         _, t = q.evaluate(pt)
         assert t >= 0.04
 
+    def test_nested_delays_add(self):
+        p = sphere(d=2)
+        q = with_delay(with_delay(p, 0.25), 0.5)
+        pt = p.space.make_point({"x0": 0.0, "x1": 0.0})
+        assert q.evaluate(pt, virtual=True)[1] == pytest.approx(0.75, abs=1e-12)
+
+    def test_original_is_left_undelayed(self):
+        p = sphere(d=2)
+        with_delay(p, 0.5)
+        pt = p.space.make_point({"x0": 0.0, "x1": 0.0})
+        assert p.evaluate(pt, virtual=True)[1] == 0.0
+
     def test_negative_delay_rejected(self):
         with pytest.raises(ValueError):
             with_delay(sphere(), -0.1)
