@@ -18,7 +18,6 @@ from sbobench.analysis.replay import (
     default_budgets,
     default_eval_times,
     replay,
-    replay_count,
 )
 from sbobench.analysis.reports import (
     convert_external_csv,
@@ -75,7 +74,6 @@ __all__ = [
     "read_grid_csv",
     "regularized_incomplete_beta",
     "replay",
-    "replay_count",
     "rule_dataset",
     "student_t_sf2",
     "write_curves_csv",

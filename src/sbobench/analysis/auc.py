@@ -23,11 +23,9 @@ def auc(logs, n_iterations: int) -> dict:
     if n_iterations < 1:
         raise ValueError("n_iterations must be at least 1")
     for log in logs:
-        if len(log.records) < n_iterations:
-            raise ValueError(
-                f"a {log.solver_id} run has {len(log.records)} records; "
-                f"need at least {n_iterations}"
-            )
+        if len(log) < n_iterations:
+            raise ValueError(f"a {log.solver_id} run has {len(log)} records; "
+                             f"need at least {n_iterations}")
 
     all_values = np.concatenate([log.objectives for log in logs])
     f_min = float(all_values.min())

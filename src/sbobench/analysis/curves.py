@@ -32,13 +32,6 @@ class NormalisedCurve:
     n_runs: int
 
 
-def _group_by_solver(logs):
-    groups: dict = {}
-    for log in logs:
-        groups.setdefault(log.solver_id, []).append(log)
-    return groups
-
-
 def normalize_curves(logs, R: int, baseline: str = BASELINE_SOLVER) -> dict:
     """Per-solver normalised curves for one problem's run logs.
 
@@ -48,15 +41,15 @@ def normalize_curves(logs, R: int, baseline: str = BASELINE_SOLVER) -> dict:
     onwards (truncated to each solver's shortest run).
     """
     logs = require_one_problem(logs)
-    groups = _group_by_solver(logs)
+    groups: dict = {}
+    for log in logs:
+        groups.setdefault(log.solver_id, []).append(log)
     if baseline not in groups:
         raise ValueError(f"baseline solver {baseline!r} has no runs")
     for log in logs:
-        if len(log.records) <= R:
-            raise ValueError(
-                f"a {log.solver_id} run has only {len(log.records)} records; "
-                f"need more than R={R}"
-            )
+        if len(log) <= R:
+            raise ValueError(f"a {log.solver_id} run has only {len(log)} records; "
+                             f"need more than R={R}")
 
     baseline_bsf = [best_so_far(log) for log in groups[baseline]]
     r0 = float(np.mean([b[0] for b in baseline_bsf]))
@@ -66,7 +59,7 @@ def normalize_curves(logs, R: int, baseline: str = BASELINE_SOLVER) -> dict:
 
     curves = {}
     for solver_id, runs in groups.items():
-        length = min(len(log.records) for log in runs)
+        length = min(len(log) for log in runs)
         stacked = np.array([
             (best_so_far(log)[:length] - r0) / (r1 - r0) for log in runs
         ])

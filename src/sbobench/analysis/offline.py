@@ -47,12 +47,6 @@ def _fit_family(space, X, y, family: str, fit_params: dict):
     raise ValueError(f"unknown model family {family!r}")
 
 
-def _encoded(space, records):
-    """Encoded points and objectives of ``records``, as (X, y)."""
-    X = encode_points(space, [rec.point for rec in records])
-    return X, np.array([rec.objective for rec in records])
-
-
 def offline_eval(
     log_pairs,
     family: str,
@@ -76,22 +70,22 @@ def offline_eval(
     if not gathering:
         raise ValueError(f"no runs of gathering solver {gathering_solver!r}")
     for log in gathering:
-        if len(log.records) < train_len:
-            raise ValueError(
-                f"a {gathering_solver} run has {len(log.records)} records; "
-                f"need at least train_len={train_len}"
-            )
+        if len(log) < train_len:
+            raise ValueError(f"a {gathering_solver} run has {len(log)} records; "
+                             f"need at least train_len={train_len}")
 
-    pool = sorted(
-        (rec for log, _ in log_pairs for rec in log.records), key=lambda rec: rec.objective
-    )
-    truncated = len(pool) < test_keep
-    X_test, y_test = _encoded(space, pool[:test_keep])
+    # The test set: the test_keep best rows of every run, ties kept in log order.
+    objectives = np.concatenate([log.objectives for log, _ in log_pairs])
+    points = [point for log, _ in log_pairs for point in log.points]
+    best = np.argsort(objectives, kind="stable")[:test_keep]
+    truncated = len(objectives) < test_keep
+    X_test = encode_points(space, [points[k] for k in best])
+    y_test = objectives[best]
 
     train_maes = []
     test_maes = []
     for log in gathering:
-        X, y = _encoded(space, log.records[:train_len])
+        X, y = encode_points(space, log.points[:train_len]), log.objectives[:train_len]
         model = _fit_family(space, X, y, family, fit_params)
         train_maes.append(mae(model, X, y))
         test_maes.append(mae(model, X_test, y_test))

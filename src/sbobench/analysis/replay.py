@@ -59,21 +59,6 @@ class ReplayGrid:
         return self.cells[budget_index * len(self.eval_times) + eval_time_index]
 
 
-def _run_arrays(log):
-    solver_times = np.fromiter((rec.solver_time for rec in log.records), dtype=float,
-                               count=len(log.records))
-    return log.objectives, solver_times
-
-
-def _finish_times(solver_times: np.ndarray, eval_time: float) -> np.ndarray:
-    return np.cumsum(solver_times + eval_time)
-
-
-def replay_count(solver_times: np.ndarray, eval_time: float, budget: float) -> int:
-    """Number of evaluations completed within the budget under re-timing."""
-    return int(np.searchsorted(_finish_times(solver_times, eval_time), budget, side="right"))
-
-
 def _run_bests(objectives, solver_times, budgets, eval_times):
     """One run's best objective per (budget, eval_time), and whether each is defined.
 
@@ -88,7 +73,7 @@ def _run_bests(objectives, solver_times, budgets, eval_times):
     running = np.minimum.accumulate(objectives)
     bests, defined = np.empty(shape), np.empty(shape, dtype=bool)
     for j, eval_time in enumerate(eval_times):
-        finish = _finish_times(solver_times, eval_time)
+        finish = np.cumsum(solver_times + eval_time)
         n = np.searchsorted(finish, budgets, side="right")
         ok = (n > 0) & ~((n == finish.size) & (finish[-1] < budgets))
         bests[:, j], defined[:, j] = running[n - 1], ok
@@ -107,7 +92,7 @@ def replay(logs, budgets=None, eval_times=None) -> ReplayGrid:
 
     by_solver: dict = {}
     for log in logs:
-        by_solver.setdefault(log.solver_id, []).append(_run_arrays(log))
+        by_solver.setdefault(log.solver_id, []).append((log.objectives, log.solver_times))
     solvers = tuple(sorted(by_solver))
     budget_axis = np.array(budgets)
     defined = np.ones((len(budgets), len(eval_times)), dtype=bool)

@@ -13,22 +13,21 @@ import json
 from pathlib import Path
 
 from ..core import (
-    PHASE_MODEL,
-    PHASE_RANDOM,
     CATEGORICAL,
-    EvaluationRecord,
     RunLog,
     space_from_jsonable,
     validate_point,
     write_run_log,
 )
-from ..core.runio import _atomic_write
+from ..core.records import RowError
+from ..core.runio import _atomic_write, _csv_rows
 from .curves import NormalisedCurve
 from .offline import OfflineEvalResult
 from .replay import ReplayCell, ReplayGrid
 from .rules import RulesTree
 
 _MEAN_PREFIX = "mean_"
+_CURVE_COLUMNS = ["solver", "iteration", "mean", "std", "r0", "r1", "n_runs"]
 
 
 def _write_csv(path, header: list, rows) -> Path:
@@ -54,26 +53,36 @@ def write_curves_csv(curves: dict, path) -> Path:
         for solver, curve in sorted(curves.items())
         for it, mean, std in zip(curve.iterations, curve.mean, curve.std)
     )
-    return _write_csv(path, ["solver", "iteration", "mean", "std", "r0", "r1", "n_runs"],
-                      rows)
+    return _write_csv(path, _CURVE_COLUMNS, rows)
 
 
 def read_curves_csv(path) -> dict:
+    """Read curves written by :func:`write_curves_csv`; ValueError names a damaged line.
+
+    A row must have the header's cell count and cells that parse; each
+    solver's iterations must count up by one, and its ``r0``, ``r1`` and
+    ``n_runs`` must stay fixed.  A wholly missing final row cannot be
+    detected: the curve then reads back one iteration shorter.
+    """
+    _, lines, rows = _csv_rows(path, _CURVE_COLUMNS)
     groups: dict = {}
-    with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            groups.setdefault(row["solver"], []).append(row)
+    for line, (solver, *cells) in zip(lines, rows):
+        where = f"{path}, line {line}"
+        try:
+            iteration, mean, std = int(cells[0]), float(cells[1]), float(cells[2])
+            scale = (float(cells[3]), float(cells[4]), int(cells[5]))
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from exc
+        seen = groups.setdefault(solver, [])
+        if seen and iteration != seen[-1][0] + 1:
+            raise ValueError(f"{where}: {solver} iteration {iteration} follows {seen[-1][0]}")
+        if seen and scale != seen[0][3]:
+            raise ValueError(f"{where}: {solver} r0, r1, n_runs {scale} differ from {seen[0][3]}")
+        seen.append((iteration, mean, std, scale))
     curves = {}
-    for solver, rows in groups.items():
-        curves[solver] = NormalisedCurve(
-            solver_id=solver,
-            iterations=tuple(int(r["iteration"]) for r in rows),
-            mean=tuple(float(r["mean"]) for r in rows),
-            std=tuple(float(r["std"]) for r in rows),
-            r0=float(rows[0]["r0"]),
-            r1=float(rows[0]["r1"]),
-            n_runs=int(rows[0]["n_runs"]),
-        )
+    for solver, seen in groups.items():
+        iterations, means, stds, scales = zip(*seen)
+        curves[solver] = NormalisedCurve(solver, iterations, means, stds, *scales[0])
     return curves
 
 
@@ -94,29 +103,23 @@ def write_grid_csv(grid: ReplayGrid, path) -> Path:
 
 def read_grid_csv(path) -> ReplayGrid:
     """Read a grid written by :func:`write_grid_csv`; ValueError names a damaged line."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        solvers = tuple(
-            name[len(_MEAN_PREFIX):] for name in header[4:]
-        )
-        cells = []
-        for row in reader:
-            where = f"{path}, line {reader.line_num}"
-            if len(row) != len(header):
-                raise ValueError(f"{where}: {len(row)} cells, but the header has {len(header)}")
-            if row[2] not in ("true", "false"):
-                raise ValueError(f"{where}: defined is {row[2]!r}, not true or false")
-            defined = row[2] == "true"
-            try:
-                means = {s: float(v) for s, v in zip(solvers, row[4:])} if defined else {}
-                cells.append(ReplayCell(float(row[0]), float(row[1]), defined, means, row[3]))
-            except ValueError as exc:
-                raise ValueError(f"{where}: {exc}") from exc
+    header, lines, rows = _csv_rows(path)
+    solvers = tuple(name[len(_MEAN_PREFIX):] for name in header[4:])
+    cells = []
+    for line, row in zip(lines, rows):
+        where = f"{path}, line {line}"
+        if row[2] not in ("true", "false"):
+            raise ValueError(f"{where}: defined is {row[2]!r}, not true or false")
+        defined = row[2] == "true"
+        try:
+            means = {s: float(v) for s, v in zip(solvers, row[4:])} if defined else {}
+            cells.append(ReplayCell(float(row[0]), float(row[1]), defined, means, row[3]))
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from exc
     budgets = tuple(dict.fromkeys(c.budget for c in cells))
     eval_times = tuple(dict.fromkeys(c.eval_time for c in cells))
     if [(c.budget, c.eval_time) for c in cells] != [(b, e) for b in budgets for e in eval_times]:
-        raise ValueError(f"{path}, line {reader.line_num}: {len(cells)} cells do not fill "
+        raise ValueError(f"{path}, line {line}: {len(cells)} cells do not fill "
                          f"{len(budgets)} budgets x {len(eval_times)} eval times")
     return ReplayGrid(budgets, eval_times, solvers, tuple(cells))
 
@@ -185,44 +188,36 @@ def convert_external_csv(src_csv, mapping_path, out_csv) -> Path:
     header = mapping["header"]
     columns = mapping["columns"]
     var_columns = columns.get("variables", {})
-    rand_init = int(header["rand_init"])
 
-    records = []
-    with open(src_csv, newline="") as fh:
-        reader = csv.DictReader(fh)
-        for i, row in enumerate(reader):
-            where = f"{src_csv}, line {reader.line_num}"
-            try:
-                # make_point coerces integer cells, rejecting non-integral ones.
-                values = {}
-                for v in space.variables:
-                    cell = row[var_columns.get(v.name, v.name)]
-                    values[v.name] = cell if v.kind == CATEGORICAL else float(cell)
-                point = space.make_point(values)
-            except ValueError as exc:
-                raise ValueError(f"{where}: {exc}") from exc
-            problem = validate_point(space, point)
-            if problem is not None:
-                raise ValueError(f"{where}: {problem}")
-            iteration = (
-                int(row[columns["iteration"]]) if "iteration" in columns else i + 1
-            )
-            records.append(
-                EvaluationRecord(
-                    iteration=iteration,
-                    point=point,
-                    objective=float(row[columns["objective"]]),
-                    eval_time=float(row[columns["eval_time"]]),
-                    solver_time=float(row[columns["solver_time"]]),
-                    phase=PHASE_RANDOM if iteration <= rand_init else PHASE_MODEL,
-                )
-            )
+    names, lines, rows = _csv_rows(src_csv)
+    points, results = [], []
+    for i, (line, cells) in enumerate(zip(lines, rows), start=1):
+        row = dict(zip(names, cells))
+        where = f"{src_csv}, line {line}"
+        try:
+            # make_point coerces integer cells, rejecting non-integral ones.
+            values = {}
+            for v in space.variables:
+                cell = row[var_columns.get(v.name, v.name)]
+                values[v.name] = cell if v.kind == CATEGORICAL else float(cell)
+            point = space.make_point(values)
+            results.append([float(row[columns[key]])
+                            for key in ("objective", "eval_time", "solver_time")])
+            iteration = int(row[columns["iteration"]]) if "iteration" in columns else i
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from exc
+        problem = validate_point(space, point)
+        if problem is None and iteration != i:
+            problem = f"iteration {iteration} at row {i}: not consecutive from 1"
+        if problem is not None:
+            raise ValueError(f"{where}: {problem}")
+        points.append(point)
 
-    log = RunLog(
-        problem_id=header["problem_id"],
-        solver_id=header["solver_id"],
-        seed=int(header["seed"]),
-        rand_init=rand_init,
-        records=tuple(records),
-    )
+    objectives, eval_times, solver_times = zip(*results) if results else ((), (), ())
+    try:
+        log = RunLog(header["problem_id"], header["solver_id"], int(header["seed"]),
+                     int(header["rand_init"]), points=points, objectives=objectives,
+                     eval_times=eval_times, solver_times=solver_times)
+    except RowError as err:
+        raise ValueError(f"{src_csv}, line {lines[err.row]}: {err}") from None
     return write_run_log(log, space, out_csv)

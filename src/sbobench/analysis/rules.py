@@ -39,9 +39,6 @@ class RulesTree(NodeArrays):
 
     _DTYPES = NodeArrays._DTYPES + (("label_index", int),)
 
-    def predict_one(self, x) -> str:
-        return self.predict([x])[0]
-
     def predict(self, X) -> np.ndarray:
         labels = np.array(self.labels, dtype=object)
         return labels[self.label_index[self.apply(X)]]

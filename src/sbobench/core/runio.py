@@ -17,7 +17,7 @@ import os
 import tempfile
 from pathlib import Path
 
-from sbobench.core.records import EvaluationRecord, RunLog
+from sbobench.core.records import RowError, RunLog, check_numbering, phases
 from sbobench.core.space import (
     CONTINUOUS,
     INTEGER,
@@ -48,27 +48,50 @@ def _float_cells(column):
     return map(repr, map(float, column))
 
 
-def _parse_column(kind: str, cells):
-    """One variable's values from its CSV cells."""
-    if kind == CONTINUOUS:
-        return map(float, cells)
-    if kind == INTEGER:
-        return map(int, cells)
-    return cells
+_PARSERS = {CONTINUOUS: float, INTEGER: int}  # categorical cells stay strings
+# Read once, at import: os.umask can only be read by setting it, process-wide,
+# and --jobs threads write logs concurrently.
+_UMASK = os.umask(0o022)
+os.umask(_UMASK)
 
 
 def _atomic_write(path: Path, text: str):
-    """Write via a temp file in the target directory, then rename."""
+    """Write via a temp file in the target directory, then rename.
+
+    The file gets a plain ``open``'s mode (0o666 less the umask), not 0o600.
+    """
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
+        os.chmod(tmp, 0o666 & ~_UMASK)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def _csv_rows(path, expected=None):
+    """A CSV file's header, and each later row's line number and cells.
+
+    ValueError names the line of a row whose cell count differs from the
+    header's, or of a missing header or one other than ``expected``.
+    """
+    with open(path, encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None or expected is not None and header != expected:
+            raise ValueError(f"{path}, line 1: unexpected columns {header}")
+        lines, rows = [], []
+        for row in reader:
+            if len(row) != len(header):
+                raise ValueError(f"{path}, line {reader.line_num}: {len(row)} cells, "
+                                 f"but the header has {len(header)}")
+            lines.append(reader.line_num)
+            rows.append(row)
+    return header, lines, rows
 
 
 def sidecar_path(csv_path: Path) -> Path:
@@ -83,18 +106,18 @@ def write_run_log(log: RunLog, space: SearchSpace, csv_path, extra: dict | None 
     under the sidecar's ``"harness"`` key.
     """
     csv_path = Path(csv_path)
-    records = log.records
-    values = zip(*(rec.point.values for rec in records))
+    n = len(log)
+    values = zip(*(point.values for point in log.points))
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(_columns(space))
     writer.writerows(zip(
-        (str(rec.iteration) for rec in records),
-        (rec.phase for rec in records),
+        map(str, range(1, n + 1)),
+        phases(n, log.rand_init),
         *(_format_column(v.kind, column) for v, column in zip(space.variables, values)),
-        _float_cells(rec.objective for rec in records),
-        _float_cells(rec.eval_time for rec in records),
-        _float_cells(rec.solver_time for rec in records),
+        _float_cells(log.objectives.tolist()),
+        _float_cells(log.eval_times.tolist()),
+        _float_cells(log.solver_times.tolist()),
     ))
     _atomic_write(csv_path, buf.getvalue())
 
@@ -117,69 +140,54 @@ def write_run_log(log: RunLog, space: SearchSpace, csv_path, extra: dict | None 
 
 
 def read_run_log(csv_path) -> tuple[RunLog, SearchSpace]:
-    """Parse a CSV + sidecar pair back into a :class:`RunLog`.
+    """Parse a CSV + sidecar pair back into a :class:`RunLog`, a column at a time.
 
     Activity flags are recomputed from the conditional rules; values are
     parsed according to the sidecar's variable schema, so a write /
-    read round trip reproduces the original log field for field.
+    read round trip reproduces the original log field for field.  A
+    damaged row raises ``ValueError("<file>, line <n>: ...")``: a wrong
+    cell count, a cell that does not parse, or a row that breaks a rule
+    of :class:`RunLog` or of its numbering.
     """
-    csv_path = Path(csv_path)
-    with open(sidecar_path(csv_path), encoding="utf-8") as fh:
-        header = json.load(fh)
+    header = json.loads(sidecar_path(csv_path).read_text(encoding="utf-8"))
     space = space_from_jsonable(header["variables"])
-
     columns = _columns(space)
-    with open(csv_path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header_row = next(reader)
-        if header_row != columns:
-            raise ValueError(f"unexpected columns in {csv_path}: {header_row}")
-        rows = []
-        for row in reader:
-            if len(row) != len(columns):
-                raise ValueError(
-                    f"{csv_path}, line {reader.line_num}: {len(row)} cells, "
-                    f"but the header has {len(columns)}"
-                )
-            rows.append(row)
-
+    _, lines, rows = _csv_rows(csv_path, columns)
     cells = list(zip(*rows)) or [()] * len(columns)
-    d = space.dimension
-    values = zip(*(_parse_column(v.kind, column)
-                   for v, column in zip(space.variables, cells[2 : 2 + d])))
-    records = [
-        EvaluationRecord(
-            iteration=iteration,
-            point=Point(values=vals, active=space.activity(vals)),
-            objective=objective,
-            eval_time=eval_time,
-            solver_time=solver_time,
-            phase=phase,
-        )
-        for iteration, phase, vals, objective, eval_time, solver_time in zip(
-            map(int, cells[0]), cells[1], values, *(map(float, c) for c in cells[2 + d :])
-        )
-    ]
 
-    log = RunLog(
-        problem_id=header["problem_id"],
-        solver_id=header["solver_id"],
-        seed=int(header["seed"]),
-        rand_init=int(header["rand_init"]),
-        records=tuple(records),
-        rng_algorithm=header.get("rng_algorithm", ""),
-        overrides=dict(header.get("overrides", {})),
-        aborted=bool(header.get("aborted", False)),
-        note=header.get("note", ""),
-    )
+    def parsed(k: int, parse):
+        """Column ``k`` through ``parse``; RowError names the first cell that does not."""
+        try:
+            return list(map(parse, cells[k]))
+        except ValueError:
+            for row, cell in enumerate(cells[k]):
+                try:
+                    parse(cell)
+                except ValueError as exc:
+                    raise RowError(row, f"{columns[k]}: {exc}") from None
+
+    rand_init = int(header["rand_init"])
+    try:
+        values = zip(*(parsed(k, _PARSERS.get(v.kind, str))
+                       for k, v in enumerate(space.variables, start=2)))
+        check_numbering(parsed(0, int), cells[1], rand_init)
+        log = RunLog(
+            header["problem_id"], header["solver_id"], int(header["seed"]), rand_init,
+            points=[Point(values=vals, active=space.activity(vals)) for vals in values],
+            objectives=parsed(-3, float),
+            eval_times=parsed(-2, float),
+            solver_times=parsed(-1, float),
+            rng_algorithm=header.get("rng_algorithm", ""),
+            overrides=dict(header.get("overrides", {})),
+            aborted=bool(header.get("aborted", False)),
+            note=header.get("note", ""),
+        )
+    except RowError as err:
+        raise ValueError(f"{csv_path}, line {lines[err.row]}: {err}") from None
     return log, space
 
 
 def load_run_logs(directory) -> list[tuple[RunLog, SearchSpace]]:
     """Read every ``*.csv`` with a sidecar under ``directory`` (sorted)."""
-    directory = Path(directory)
-    out = []
-    for csv_file in sorted(directory.glob("*.csv")):
-        if sidecar_path(csv_file).exists():
-            out.append(read_run_log(csv_file))
-    return out
+    return [read_run_log(csv_file) for csv_file in sorted(Path(directory).glob("*.csv"))
+            if sidecar_path(csv_file).exists()]

@@ -25,13 +25,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
-from ..core import (
-    PHASE_MODEL,
-    PHASE_RANDOM,
-    EvaluationRecord,
-    RunLog,
-    write_run_log,
-)
+from ..core import RunLog, write_run_log
 from ..core.rng import derive_seed
 from ..problems import EvaluationError, make_problem
 from ..solvers import make_solver
@@ -42,7 +36,7 @@ def run_single(problem, solver, max_eval, rand_init, seed,
                budget_seconds=None, virtual_time=False,
                overrides=None) -> RunLog:
     """Drive one solver on one problem until a stop rule fires."""
-    records = []
+    points, objectives, eval_times, solver_times = [], [], [], []
     virtual_clock = 0.0
     start = time.monotonic()
     aborted = False
@@ -51,7 +45,7 @@ def run_single(problem, solver, max_eval, rand_init, seed,
     def elapsed() -> float:
         return virtual_clock if virtual_time else time.monotonic() - start
 
-    while len(records) < max_eval:
+    while len(points) < max_eval:
         if budget_seconds is not None and elapsed() >= budget_seconds:
             break
         tick = time.perf_counter()
@@ -67,25 +61,22 @@ def run_single(problem, solver, max_eval, rand_init, seed,
         solver.observe(point, objective)
         observe_time = time.perf_counter() - tick
 
-        overhead = suggest_time + observe_time
         virtual_clock += eval_time
-        iteration = len(records) + 1
-        records.append(EvaluationRecord(
-            iteration=iteration,
-            point=point,
-            objective=objective,
-            eval_time=eval_time,
-            solver_time=0.0 if virtual_time else overhead,
-            phase=PHASE_RANDOM if iteration <= rand_init else PHASE_MODEL,
-        ))
+        points.append(point)
+        objectives.append(objective)
+        eval_times.append(eval_time)
+        solver_times.append(0.0 if virtual_time else suggest_time + observe_time)
 
     return RunLog(
         problem_id=problem.id,
         solver_id=solver.kind,
         seed=seed,
         rand_init=rand_init,
-        records=tuple(records),
-        overrides=dict(overrides or {}),
+        points=points,
+        objectives=objectives,
+        eval_times=eval_times,
+        solver_times=solver_times,
+        overrides=overrides,
         aborted=aborted,
         note=note,
     )

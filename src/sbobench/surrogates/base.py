@@ -3,13 +3,12 @@
 import json
 from abc import ABC, abstractmethod
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 from sbobench.core.runio import _atomic_write
-from sbobench.core.space import Point, SearchSpace, space_from_jsonable, space_to_jsonable
-from sbobench.surrogates.encoding import encode_points
+from sbobench.core.space import SearchSpace, space_from_jsonable, space_to_jsonable
 
 
 class FitError(RuntimeError):
@@ -20,8 +19,8 @@ class SurrogateModel(ABC):
     """A fitted model mapping encoded vectors to objective predictions.
 
     Subclasses predict on raw encoded vectors so acquisition routines
-    can query relaxed (not-yet-valid) configurations; ``predict`` is the
-    point-level convenience wrapper.
+    can query relaxed (not-yet-valid) configurations; callers encode
+    points with ``encode_points``.
     """
 
     family: str = ""
@@ -33,14 +32,8 @@ class SurrogateModel(ABC):
     def predict_encoded(self, X: np.ndarray) -> np.ndarray:
         """Predict at encoded vectors, shape (n, d) -> (n,)."""
 
-    def predict(self, points: Sequence[Point]) -> np.ndarray:
-        return self.predict_encoded(encode_points(self.space, points))
-
     def predict_variance_encoded(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise NotImplementedError(f"{self.family} does not model predictive variance")
-
-    def predict_with_variance(self, points: Sequence[Point]) -> tuple[np.ndarray, np.ndarray]:
-        return self.predict_variance_encoded(encode_points(self.space, points))
 
     @abstractmethod
     def to_jsonable(self) -> dict:

@@ -21,9 +21,9 @@ def _dataset(space, n, seed, fn):
 
 
 def test_zero_rounds_predicts_mean(interval):
-    pts, X, y = _dataset(interval, 20, 0, lambda X: 3.0 * X[:, 0] - 1.0)
+    _, X, y = _dataset(interval, 20, 0, lambda X: 3.0 * X[:, 0] - 1.0)
     model = fit_boosted(interval, X, y, n_rounds=0)
-    pred = model.predict(pts)
+    pred = model.predict_encoded(X)
     np.testing.assert_allclose(pred, y.mean(), atol=1e-12)
 
 
@@ -37,11 +37,11 @@ def test_training_loss_never_increases(interval):
 
 def test_loss_sequence_matches_refit_predictions(interval):
     # train_losses[k] must equal the MSE of the first-k-rounds model.
-    pts, X, y = _dataset(interval, 30, 2, lambda X: X[:, 0] ** 2)
+    _, X, y = _dataset(interval, 30, 2, lambda X: X[:, 0] ** 2)
     full = fit_boosted(interval, X, y, n_rounds=25, learning_rate=0.3, max_depth=3)
     for k in (0, 5, 25):
         sub = fit_boosted(interval, X, y, n_rounds=k, learning_rate=0.3, max_depth=3)
-        mse = float(np.mean((sub.predict(pts) - y) ** 2))
+        mse = float(np.mean((sub.predict_encoded(X) - y) ** 2))
         assert abs(full.train_losses[k] - mse) < 1e-10
 
 
@@ -70,11 +70,11 @@ def test_learning_rate_validation(interval):
 
 
 def test_round_trip_serialisation(interval, tmp_path):
-    pts, X, y = _dataset(interval, 40, 6, lambda X: np.cos(5 * X[:, 0]))
+    _, X, y = _dataset(interval, 40, 6, lambda X: np.cos(5 * X[:, 0]))
     model = fit_boosted(interval, X, y, n_rounds=30, max_depth=4)
     model.save(tmp_path / "boosted.json")
     back = load_model(tmp_path / "boosted.json")
-    np.testing.assert_array_equal(model.predict(pts), back.predict(pts))
+    np.testing.assert_array_equal(model.predict_encoded(X), back.predict_encoded(X))
 
 
 def test_mae_helper_oracle(interval):

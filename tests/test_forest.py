@@ -89,9 +89,9 @@ class TestRegressionTree:
 
 class TestForest:
     def test_constant_target_gives_constant_mean_zero_variance(self, square):
-        pts, X, y = _dataset(square, 25, 0, lambda X: np.full(len(X), 7.0))
+        _, X, y = _dataset(square, 25, 0, lambda X: np.full(len(X), 7.0))
         model = fit_forest(square, X, y, n_trees=8, seed=1)
-        mean, var = model.predict_with_variance(pts)
+        mean, var = model.predict_variance_encoded(X)
         np.testing.assert_allclose(mean, 7.0, atol=1e-12)
         np.testing.assert_allclose(var, 0.0, atol=1e-12)
 
@@ -104,30 +104,30 @@ class TestForest:
         _, X, y = _dataset(square, 30, 4, lambda X: X[:, 0] ** 2)
         a = fit_forest(square, X, y, n_trees=12, seed=9)
         b = fit_forest(square, X, y, n_trees=12, seed=9)
-        qpts, _, _ = _dataset(square, 50, 11, lambda X: X[:, 0])
-        np.testing.assert_array_equal(a.predict(qpts), b.predict(qpts))
+        _, Q, _ = _dataset(square, 50, 11, lambda X: X[:, 0])
+        np.testing.assert_array_equal(a.predict_encoded(Q), b.predict_encoded(Q))
 
     def test_different_seeds_differ(self, square):
         _, X, y = _dataset(square, 30, 4, lambda X: np.sin(9 * X[:, 0]))
         a = fit_forest(square, X, y, n_trees=12, seed=1)
         b = fit_forest(square, X, y, n_trees=12, seed=2)
-        qpts, _, _ = _dataset(square, 50, 11, lambda X: X[:, 0])
-        assert not np.array_equal(a.predict(qpts), b.predict(qpts))
+        _, Q, _ = _dataset(square, 50, 11, lambda X: X[:, 0])
+        assert not np.array_equal(a.predict_encoded(Q), b.predict_encoded(Q))
 
     def test_variance_positive_away_from_data(self, square):
         _, X, y = _dataset(square, 40, 6, lambda X: np.sin(6 * X[:, 0]) + X[:, 1])
         model = fit_forest(square, X, y, n_trees=16, seed=5)
         rng = make_rng(7)
         far = [sample_uniform(square, rng) for _ in range(100)]
-        _, var = model.predict_with_variance(far)
+        _, var = model.predict_variance_encoded(encode_points(square, far))
         assert var.max() > 0.0
 
     def test_round_trip_serialisation(self, square, tmp_path):
-        pts, X, y = _dataset(square, 20, 8, lambda X: X[:, 0] - X[:, 1])
+        _, X, y = _dataset(square, 20, 8, lambda X: X[:, 0] - X[:, 1])
         model = fit_forest(square, X, y, n_trees=6, seed=4)
         model.save(tmp_path / "forest.json")
         back = load_model(tmp_path / "forest.json")
-        np.testing.assert_array_equal(model.predict(pts), back.predict(pts))
-        m1, v1 = model.predict_with_variance(pts)
-        m2, v2 = back.predict_with_variance(pts)
+        np.testing.assert_array_equal(model.predict_encoded(X), back.predict_encoded(X))
+        m1, v1 = model.predict_variance_encoded(X)
+        m2, v2 = back.predict_variance_encoded(X)
         np.testing.assert_array_equal(v1, v2)

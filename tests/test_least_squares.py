@@ -25,7 +25,8 @@ class TestLinear:
     def test_recovers_affine_target(self, line_space):
         model = fit_least_squares(line_space, *_line_data(line_space), family="linear",
                                   ridge=1e-12)
-        pred = model.predict([line_space.make_point({"x": 3.0})])
+        pred = model.predict_encoded(
+            encode_points(line_space, [line_space.make_point({"x": 3.0})]))
         assert abs(pred[0] - 7.0) <= 1e-9
 
     def test_duplicated_dataset_gives_identical_coefficients(self, line_space):

@@ -209,6 +209,52 @@ class TestReportRoundTrips:
         path = write_curves_csv(curves, tmp_path / "curves.csv")
         assert read_curves_csv(path) == curves
 
+    @staticmethod
+    def _curves_file(tmp_path):
+        curves = {s: NormalisedCurve(s, (11, 12, 13), (0.5, 0.25, 0.125), (0.1, 0.2, 0.3),
+                                     1.5, 0.25, 4) for s in ("gp-ucb", "randomsearch")}
+        path = write_curves_csv(curves, tmp_path / "curves.csv")
+        assert read_curves_csv(path) == curves
+        return path
+
+    def test_curves_csv_cut_mid_row_is_rejected(self, tmp_path):
+        path = self._curves_file(tmp_path)
+        path.write_bytes(path.read_bytes()[:-12])
+        with pytest.raises(ValueError,
+                           match=r"curves\.csv, line 7: 5 cells, but the header has 7"):
+            read_curves_csv(path)
+
+    def test_curves_csv_bad_cell_is_rejected(self, tmp_path):
+        path = self._curves_file(tmp_path)
+        path.write_bytes(path.read_bytes().replace(b",0.5,", b",abc,", 1))
+        with pytest.raises(ValueError, match=r"curves\.csv, line 2: could not convert.*'abc'"):
+            read_curves_csv(path)
+
+    def test_curves_csv_missing_middle_row_is_rejected(self, tmp_path):
+        path = self._curves_file(tmp_path)
+        lines = path.read_bytes().splitlines(keepends=True)
+        path.write_bytes(b"".join(lines[:2] + lines[3:]))
+        with pytest.raises(ValueError,
+                           match=r"curves\.csv, line 3: gp-ucb iteration 13 follows 11"):
+            read_curves_csv(path)
+
+    def test_curves_csv_empty_file_is_rejected(self, tmp_path):
+        path = tmp_path / "curves.csv"
+        path.write_text("")
+        with pytest.raises(ValueError, match=r"curves\.csv, line 1: "):
+            read_curves_csv(path)
+
+    @pytest.mark.parametrize("old, new", [
+        (b"13,0.125,0.3,1.5,", b"13,0.125,0.3,1.25,"),
+        (b"13,0.125,0.3,1.5,0.25,", b"13,0.125,0.3,1.5,0.5,"),
+        (b"13,0.125,0.3,1.5,0.25,4", b"13,0.125,0.3,1.5,0.25,5"),
+    ])
+    def test_curves_csv_changing_scale_is_rejected(self, tmp_path, old, new):
+        path = self._curves_file(tmp_path)
+        path.write_bytes(path.read_bytes().replace(old, new, 1))
+        with pytest.raises(ValueError, match=r"curves\.csv, line 4: gp-ucb r0, r1, n_runs"):
+            read_curves_csv(path)
+
     def test_rules_json_depth_zero(self, tmp_path):
         X = np.zeros((3, 4))
         y = np.array(["gp-ucb"] * 3, dtype=object)
@@ -354,3 +400,24 @@ class TestConvertExternalCsv:
         log, _ = read_run_log(convert_external_csv(src, mapping_path, tmp_path / "native.csv"))
         assert log.records[1].point.values == (0.75, 3, "b")
         assert type(log.records[1].point.values[1]) is int
+
+    @pytest.mark.parametrize("column, cell, message", [
+        ("fx", "abc", "could not convert string to float: 'abc'"),
+        ("fx", "nan", "iteration 2: objective must be finite, not nan"),
+        ("t_alg", "-1.0", "iteration 2: solver_time must be non-negative, not -1.0"),
+        ("step", "5", "iteration 5 at row 2: not consecutive from 1"),
+    ])
+    def test_bad_results_are_rejected_with_file_and_line(self, tmp_path, column, cell, message):
+        src, mapping_path, _ = self._write_foreign(tmp_path)
+        self._set_cell(src, column, cell)
+        with pytest.raises(ValueError) as info:
+            convert_external_csv(src, mapping_path, tmp_path / "native.csv")
+        assert str(info.value) == f"{src}, line 3: {message}"
+
+    def test_short_row_is_rejected_with_file_and_line(self, tmp_path):
+        src, mapping_path, _ = self._write_foreign(tmp_path)
+        lines = src.read_text().splitlines(keepends=True)
+        src.write_text("".join(lines[:2] + ["2,4.0,0.6\r\n"] + lines[3:]))
+        with pytest.raises(ValueError) as info:
+            convert_external_csv(src, mapping_path, tmp_path / "native.csv")
+        assert str(info.value) == f"{src}, line 3: 3 cells, but the header has 7"

@@ -1,6 +1,7 @@
 """Records, best-so-far, and CSV + sidecar round trips."""
 
 import json
+import os
 
 import numpy as np
 import pytest
@@ -27,13 +28,15 @@ from run_log_helpers import make_log
 class TestRecords:
     def test_objective_must_be_finite(self, box_space):
         pt = box_space.make_point({"x": 0.5, "y": 0.0})
+        record = EvaluationRecord(1, pt, float("nan"), 0.0, 0.0, PHASE_MODEL)
         with pytest.raises(ValueError):
-            EvaluationRecord(1, pt, float("nan"), 0.0, 0.0, PHASE_MODEL)
+            RunLog("p", "s", seed=0, rand_init=0, records=(record,))
 
     def test_negative_times_rejected(self, box_space):
         pt = box_space.make_point({"x": 0.5, "y": 0.0})
+        record = EvaluationRecord(1, pt, 1.0, -0.1, 0.0, PHASE_MODEL)
         with pytest.raises(ValueError):
-            EvaluationRecord(1, pt, 1.0, -0.1, 0.0, PHASE_MODEL)
+            RunLog("p", "s", seed=0, rand_init=0, records=(record,))
 
     def test_phase_must_match_rand_init(self, box_space):
         pt = box_space.make_point({"x": 0.5, "y": 0.0})
@@ -212,3 +215,66 @@ class TestMalformedRows:
             read_run_log(path)
         assert str(err.value).startswith(f"{path}, line 4: ")
         assert str(err.value).endswith(" cells, but the header has 7")
+
+    def _damaged(self, box_space, tmp_path, line, cells, rand_init=0):
+        """The log of ``_written`` with ``line``'s cells replaced by ``cells``."""
+        log = make_log([3.0, 1.0, 2.0], space=box_space, rand_init=rand_init,
+                       points=[box_space.make_point({"x": 0.5, "y": 0.0})] * 3)
+        path = write_run_log(log, box_space, tmp_path / "run.csv")
+        lines = path.read_text().splitlines(keepends=True)
+        lines[line - 1] = ",".join(cells) + "\n"
+        path.write_text("".join(lines))
+        return path
+
+    @pytest.mark.parametrize("cell, message", [("abc", "objective: could not convert"),
+                                               ("", "objective: could not convert")])
+    def test_unparseable_cell_names_file_and_line(self, box_space, tmp_path, cell, message):
+        path = self._damaged(box_space, tmp_path, 3,
+                             ["2", "model_guided", "0.5", "0.0", cell, "0.0", "0.0"])
+        with pytest.raises(ValueError) as err:
+            read_run_log(path)
+        assert str(err.value).startswith(f"{path}, line 3: {message}")
+
+    def test_non_finite_objective_names_file_and_line(self, box_space, tmp_path):
+        path = self._damaged(box_space, tmp_path, 4,
+                             ["3", "model_guided", "0.5", "0.0", "nan", "0.0", "0.0"])
+        with pytest.raises(ValueError) as err:
+            read_run_log(path)
+        assert str(err.value).startswith(f"{path}, line 4: ")
+        assert "objective must be finite" in str(err.value)
+
+    def test_negative_time_names_file_and_line(self, box_space, tmp_path):
+        path = self._damaged(box_space, tmp_path, 2,
+                             ["1", "model_guided", "0.5", "0.0", "3.0", "0.0", "-0.5"])
+        with pytest.raises(ValueError) as err:
+            read_run_log(path)
+        assert str(err.value).startswith(f"{path}, line 2: ")
+        assert "solver_time must be non-negative, not -0.5" in str(err.value)
+
+    def test_iteration_out_of_sequence_names_file_and_line(self, box_space, tmp_path):
+        path = self._damaged(box_space, tmp_path, 3,
+                             ["4", "model_guided", "0.5", "0.0", "1.0", "0.0", "0.0"])
+        with pytest.raises(ValueError) as err:
+            read_run_log(path)
+        assert str(err.value).startswith(f"{path}, line 3: ")
+        assert "consecutive" in str(err.value)
+
+    def test_phase_disagreeing_with_rand_init_names_file_and_line(self, box_space, tmp_path):
+        path = self._damaged(box_space, tmp_path, 3,
+                             ["2", "random_init", "0.5", "0.0", "1.0", "0.0", "0.0"],
+                             rand_init=1)
+        with pytest.raises(ValueError) as err:
+            read_run_log(path)
+        assert str(err.value) == (f"{path}, line 3: iteration 2: phase 'random_init', "
+                                  "expected 'model_guided'")
+
+
+def test_written_files_get_the_mode_of_a_plain_open(tmp_path):
+    plain = tmp_path / "plain.txt"
+    with open(plain, "w"):
+        pass
+    path = write_run_log(make_log([1.0]), SearchSpace(
+        (VariableSpec("x", "continuous", lower=0.0, upper=1.0),)), tmp_path / "run.csv")
+    want = os.stat(plain).st_mode & 0o777
+    assert os.stat(path).st_mode & 0o777 == want
+    assert os.stat(sidecar_path(path)).st_mode & 0o777 == want

@@ -138,4 +138,4 @@ def test_rules_predict_matches_per_row_walk():
     predicted = tree.predict(X)
     assert predicted.dtype == object and predicted.shape == (1200,)
     assert predicted.tolist() == [_walk(tree, row) for row in X]
-    assert tree.predict_one(X[7]) == _walk(tree, X[7])
+    assert tree.predict([X[7]])[0] == _walk(tree, X[7])
