@@ -46,14 +46,19 @@ class PwlSolver(Solver):
         return np.arange(self._lo[j], self._hi[j] + 1.0)
 
     def _coordinate_descent(self, x: np.ndarray) -> np.ndarray:
+        """Walk the coordinates in turn, each to its best grid value.  The
+        hinge phases ``A = x W' + b`` are formed once; moving coordinate
+        ``j`` by ``delta`` gives ``A + delta W[:, j]``."""
         x = x.copy()
+        W = self.model.W
+        phases = self.model.phases(x)[0]
         for _ in range(self.sweeps):
             for j in range(len(x)):
-                grid = self._coordinate_grid(j)
-                trial = np.tile(x, (len(grid) + 1, 1))
-                trial[:-1, j] = grid  # last row keeps the current value
-                values = self.model.predict_encoded(trial)
-                x = trial[int(np.argmin(values))]
+                # the last entry keeps the current value
+                column = np.append(self._coordinate_grid(j), x[j])
+                trial_phases = phases + np.outer(column - x[j], W[:, j])
+                best = int(np.argmin(self.model.phase_values(trial_phases)))
+                x[j], phases = column[best], trial_phases[best]
         return x
 
     def _perturb(self, x: np.ndarray) -> np.ndarray:

@@ -11,7 +11,8 @@ After an intended change to outputs, rewrite the manifest with::
 
     PYTHONPATH=src python3 tests/test_golden.py --update
 
-and explain each changed file in CHANGES.md.
+It prints each entry it changes, removes or adds; explain each one in
+CHANGES.md.
 """
 
 import contextlib
@@ -69,22 +70,32 @@ def digests(root: Path) -> dict:
             for path in sorted(root.rglob("*")) if path.is_file()}
 
 
+def differences(want: dict, got: dict) -> list[str]:
+    """One line per file whose digest differs, that ``got`` lacks, or that only ``got`` has."""
+    lines = [f"differs: {name}" for name in sorted(want.keys() & got.keys())
+             if want[name] != got[name]]
+    lines += [f"missing: {name}" for name in sorted(want.keys() - got.keys())]
+    lines += [f"extra: {name}" for name in sorted(got.keys() - want.keys())]
+    return lines
+
+
 def test_outputs_match_the_manifest(tmp_path):
     manifest = json.loads(MANIFEST.read_text(encoding="utf-8"))
     assert manifest["configurations"] == CONFIGURATIONS, "configurations changed; run --update"
-    want, got = manifest["files"], digests(tmp_path)
-    problems = [f"differs: {name}" for name in sorted(want.keys() & got.keys())
-                if want[name] != got[name]]
-    problems += [f"missing: {name}" for name in sorted(want.keys() - got.keys())]
-    problems += [f"extra: {name}" for name in sorted(got.keys() - want.keys())]
+    problems = differences(manifest["files"], digests(tmp_path))
     assert not problems, "\n".join([
         *problems, "manifest stamp: " + json.dumps(manifest["stamp"], sort_keys=True),
         "this stamp:     " + json.dumps(stamp(), sort_keys=True)])
 
 
 def update():
+    """Rewrite the manifest, printing each entry it changes (``differs``),
+    removes (``missing``) or adds (``extra``)."""
+    old = json.loads(MANIFEST.read_text(encoding="utf-8"))["files"] if MANIFEST.exists() else {}
     with tempfile.TemporaryDirectory() as tmp:
         files = digests(Path(tmp))
+    for line in differences(old, files):
+        print(line)
     manifest = {"configurations": CONFIGURATIONS, "stamp": stamp(), "files": files}
     MANIFEST.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     print(f"wrote {MANIFEST}: {len(files)} files")

@@ -265,34 +265,57 @@ class TestForestUcbCandidateMatrix:
 
 
 def _reference_descent(solver, starts):
-    """rff-local's descent loop with the surrogate's value and gradient
-    written out in full, both recomputed from ``x`` at every step."""
+    """rff-local's bounded descent written out in full: each start's trust
+    box, the stop rule and the active rows, with the surrogate's value and
+    gradient spelled out from its Fourier basis.  A matrix product rounds
+    a row differently depending on how many rows it is given, so a row's
+    value and sines are carried from the batch that accepted it, as in
+    the solver."""
     model = solver.model
     W, b, c = model.W, model.b, model.coefficients
 
-    def predict(X):
-        return np.hstack([np.ones((len(X), 1)), np.cos(X @ W.T + b)]) @ c
+    def phases(X):
+        return X @ W.T + b
 
-    def gradient(X):
-        return -(c[1:] * np.sin(X @ W.T + b)) @ W
+    def predict(A):
+        return np.hstack([np.ones((len(A), 1)), np.cos(A)]) @ c
 
-    span = solver._hi - solver._lo
+    radius = solver.jitter_scale * (solver._hi - solver._lo)
+    lower = np.maximum(solver._lo, starts - radius)
+    upper = np.minimum(solver._hi, starts + radius)
+    tol = 1e-3 * np.max(radius)
     x = starts.copy()
-    step = 0.1 * np.max(span) * np.ones(len(x))
-    value = predict(x)
+    value = predict(phases(x))
+    sines = np.sin(phases(x))
+    step = np.full(len(x), np.max(radius))
+    steps = np.zeros(len(x), dtype=int)
+    active = np.ones(len(x), dtype=bool)
     for _ in range(solver.descent_steps):
-        grad = gradient(x)
+        if not active.any():
+            break
+        rows = x[active]
+        grad = -(c[1:] * sines[active]) @ W
         norm = np.linalg.norm(grad, axis=1, keepdims=True)
         norm[norm == 0] = 1.0
-        trial = np.clip(x - step[:, None] * grad / norm, solver._lo, solver._hi)
-        trial_value = predict(trial)
-        better = trial_value < value
-        x[better] = trial[better]
-        value[better] = trial_value[better]
-        step = np.where(better, step * 1.1, step * 0.5)
-        if np.all(step < 1e-9 * np.max(span)):
-            break
-    return x
+        trial = np.clip(rows - step[active, None] * grad / norm,
+                        lower[active], upper[active])
+        trial_phases = phases(trial)
+        trial_value = predict(trial_phases)
+        better = trial_value < value[active]
+        move = np.max(np.abs(trial - rows), axis=1)
+        accepted = np.flatnonzero(active)[better]
+        x[accepted] = trial[better]
+        value[accepted] = trial_value[better]
+        sines[accepted] = np.sin(trial_phases[better])
+        step[active] = np.where(better, step[active] * 1.1, step[active] * 0.5)
+        steps[active] += 1
+        active[active] = (step[active] > tol) & (move > tol)
+    return x, steps
+
+
+def _fitted_rff_local(problem):
+    solver = make_solver("rff-local", problem.space, R=10, seed=5)
+    return drive(solver, problem, 12)
 
 
 class TestRffLocalDescent:
@@ -300,16 +323,40 @@ class TestRffLocalDescent:
                                               lambda: hpo_proxy(seed=0)],
                              ids=["pipe-proxy-10", "hpo-proxy"])
     def test_descent_equals_reference_loop(self, make_problem):
-        problem = make_problem()
-        solver = make_solver("rff-local", problem.space, R=10, seed=5)
-        drive(solver, problem, 12)
+        solver = _fitted_rff_local(make_problem())
         rng = make_rng(8)
         for _ in range(6):
             starts = rng.uniform(solver._lo, solver._hi,
                                  size=(solver.starts, len(solver._lo)))
-            got = solver._descend(starts)
-            assert got.tobytes() == _reference_descent(solver, starts).tobytes()
+            got, steps = solver._descend(starts)
+            want, want_steps = _reference_descent(solver, starts)
+            assert got.tobytes() == want.tobytes()
+            assert steps.tobytes() == want_steps.tobytes()
             assert not np.array_equal(got, starts)
+
+    @pytest.mark.parametrize("make_problem", [lambda: pipe_proxy(d=10),
+                                              lambda: hpo_proxy(seed=0)],
+                             ids=["pipe-proxy-10", "hpo-proxy"])
+    def test_ends_stay_in_their_trust_boxes(self, make_problem):
+        solver = _fitted_rff_local(make_problem())
+        radius = solver.jitter_scale * (solver._hi - solver._lo)
+        rng = make_rng(9)
+        for _ in range(6):
+            starts = rng.uniform(solver._lo, solver._hi,
+                                 size=(solver.starts, len(solver._lo)))
+            ends, _ = solver._descend(starts)
+            assert np.all(np.maximum(solver._lo, starts - radius) <= ends)
+            assert np.all(ends <= np.minimum(solver._hi, starts + radius))
+            assert np.all((solver._lo <= ends) & (ends <= solver._hi))
+
+    def test_converged_starts_stop_early(self):
+        problem = pipe_proxy(d=10)
+        solver = _fitted_rff_local(problem)
+        drive(solver, problem, 1)
+        steps = solver.last_proposal["steps"]
+        assert steps.shape == (solver.starts,)
+        assert np.all((1 <= steps) & (steps <= solver.descent_steps))
+        assert steps.min() < solver.descent_steps
 
 
 def _reference_gp_refit(solver, params):
