@@ -38,11 +38,7 @@ from sbobench.analysis.rules import (
     grow_tree,
     rule_dataset,
 )
-from sbobench.analysis.stats import (
-    pairwise_ttest,
-    regularized_incomplete_beta,
-    student_t_sf2,
-)
+from sbobench.analysis.stats import pairwise_ttest
 
 __all__ = [
     "BASELINE_SOLVER",
@@ -72,10 +68,8 @@ __all__ = [
     "pairwise_ttest",
     "read_curves_csv",
     "read_grid_csv",
-    "regularized_incomplete_beta",
     "replay",
     "rule_dataset",
-    "student_t_sf2",
     "write_curves_csv",
     "write_grid_csv",
     "write_offline_json",

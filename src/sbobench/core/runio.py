@@ -142,10 +142,9 @@ def write_run_log(log: RunLog, space: SearchSpace, csv_path, extra: dict | None 
 def read_run_log(csv_path) -> tuple[RunLog, SearchSpace]:
     """Parse a CSV + sidecar pair back into a :class:`RunLog`, a column at a time.
 
-    Activity flags are recomputed from the conditional rules; values are
-    parsed according to the sidecar's variable schema, so a write /
-    read round trip reproduces the original log field for field.  A
-    damaged row raises ``ValueError("<file>, line <n>: ...")``: a wrong
+    Values are parsed according to the sidecar's variable schema, so a
+    write / read round trip reproduces the original log field for field.
+    A damaged row raises ``ValueError("<file>, line <n>: ...")``: a wrong
     cell count, a cell that does not parse, or a row that breaks a rule
     of :class:`RunLog` or of its numbering.
     """
@@ -173,7 +172,7 @@ def read_run_log(csv_path) -> tuple[RunLog, SearchSpace]:
         check_numbering(parsed(0, int), cells[1], rand_init)
         log = RunLog(
             header["problem_id"], header["solver_id"], int(header["seed"]), rand_init,
-            points=[Point(values=vals, active=space.activity(vals)) for vals in values],
+            points=list(map(Point, values)),
             objectives=parsed(-3, float),
             eval_times=parsed(-2, float),
             solver_times=parsed(-1, float),

@@ -3,8 +3,9 @@
 A search space is an ordered collection of continuous, integer and
 categorical variables.  A variable may be conditional on a categorical
 parent taking one specific category; inactive variables still carry a
-value in every point, the activity flag is metadata.  Categorical values
-are handled ordinally (by index) wherever a numeric view is needed.
+value in every point, and activity is computed by the space from those
+values, not stored.  Categorical values are handled ordinally (by
+index) wherever a numeric view is needed.
 """
 
 import itertools
@@ -84,16 +85,15 @@ class VariableSpec:
 
 @dataclass(frozen=True)
 class Point:
-    """A configuration: one value per variable, plus activity flags.
+    """A configuration: one value per variable.
 
     ``values`` is aligned with the declaration order of the owning
     space.  Inactive conditional variables keep their sampled or
-    constructed value; ``active`` records which variables currently
-    influence the objective.
+    constructed value; which variables currently influence the
+    objective is :meth:`SearchSpace.activity` of ``values``.
     """
 
     values: tuple
-    active: tuple
 
 
 @dataclass(frozen=True)
@@ -171,10 +171,6 @@ class SearchSpace:
         )
 
     @cached_property
-    def _all_active(self) -> tuple:
-        return (True,) * len(self.variables)
-
-    @cached_property
     def _draw_plan(self) -> tuple:
         """One ``(continuous, lower, size, domains)`` draw per run of like variables.
 
@@ -227,19 +223,16 @@ class SearchSpace:
 
     def activity(self, values: Sequence) -> tuple:
         """Activity flags implied by the conditional rules for ``values``."""
-        if not self._conditions:
-            return self._all_active
-        active = list(self._all_active)
+        active = [True] * len(self.variables)
         for i, p, category in self._conditions:
-            active[i] = bool(active[p]) and values[p] == category
+            active[i] = active[p] and values[p] == category
         return tuple(active)
 
     def make_point(self, values: Mapping[str, object]) -> Point:
         """Build a :class:`Point` from a name->value mapping.
 
-        Values are coerced to their storage types (float / int / str);
-        activity flags are computed from the conditional rules.  Bounds
-        are not checked here -- that is :func:`validate_point`'s job.
+        Values are coerced to their storage types (float / int / str).
+        Bounds are not checked here -- that is :func:`validate_point`'s job.
         """
         missing = [v.name for v in self.variables if v.name not in values]
         if missing:
@@ -258,8 +251,7 @@ class SearchSpace:
                 row.append(int(raw))
             else:
                 row.append(str(raw))
-        vals = tuple(row)
-        return Point(values=vals, active=self.activity(vals))
+        return Point(tuple(row))
 
     def as_mapping(self, point: Point) -> dict:
         return {v.name: point.values[i] for i, v in enumerate(self.variables)}
@@ -268,13 +260,13 @@ class SearchSpace:
 def validate_point(space: SearchSpace, point: Point) -> str | None:
     """Check a point against a space.
 
-    Returns ``None`` when every bound, category and activity invariant
-    holds, otherwise a message naming the first offending variable.
+    Returns ``None`` when every value fits its variable's type and domain,
+    otherwise a message naming the first offending variable.
     Bounds are compared exactly, so an ``int`` too large for a float is
     out of bounds rather than an error.
     """
     n = len(space.variables)
-    if len(point.values) != n or len(point.active) != n:
+    if len(point.values) != n:
         return f"point has {len(point.values)} values for a {n}-variable space"
     for val, (name, kind, lower, upper, categories) in zip(point.values, space._checks):
         if kind == CONTINUOUS:
@@ -290,12 +282,6 @@ def validate_point(space: SearchSpace, point: Point) -> str | None:
                 return f"{name} out of bounds"
         elif val not in categories:
             return f"{name} is not a valid category"
-    expected = space.activity(point.values)
-    if point.active != expected:
-        for (name, *_), flag, want in zip(space._checks, point.active, expected):
-            if bool(flag) != want:
-                state = "active" if want else "inactive"
-                return f"{name} must be {state}"
     return None
 
 
@@ -305,7 +291,7 @@ def sample_uniform(space: SearchSpace, rng: np.random.Generator) -> Point:
     Variables are drawn in dependency order (parents before children,
     declaration order otherwise) so the stream layout is documented and
     reproducible.  Conditional variables are sampled whether or not they
-    end up active; activity is recomputed afterwards.
+    end up active.
 
     Each run of like variables in that order is one generator call (see
     ``SearchSpace._draw_plan``).  An array call consumes the stream
@@ -324,8 +310,7 @@ def sample_uniform(space: SearchSpace, rng: np.random.Generator) -> Point:
         else:
             drawn += map(operator.getitem, domains, rng.integers(0, size).tolist())
     position = space._from_topo_order
-    vals = tuple(drawn) if position is None else tuple([drawn[k] for k in position])
-    return Point(values=vals, active=space.activity(vals))
+    return Point(tuple(drawn) if position is None else tuple([drawn[k] for k in position]))
 
 
 def variable_to_jsonable(v: VariableSpec) -> dict:

@@ -8,8 +8,9 @@ Positional tokens are one problem, at least one solver, and optional
 override strings of the form ``kind.param=value`` where ``kind`` is a
 solver token or the problem token (e.g. ``gp-ucb.beta=1.0`` or
 ``pipe-proxy.d=5``).  Exit codes: 0 success, 1 if any run aborted on an
-evaluation error (a failed external command or a non-finite objective;
-the run keeps its partial log and note), 2 on a usage error.
+evaluation error (a failed external command or a non-finite objective)
+or a solver fit error (the run keeps its partial log and note), 2 on a
+usage error.
 """
 
 import argparse

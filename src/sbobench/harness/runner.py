@@ -14,11 +14,15 @@ the measured evaluation duration.  In virtual mode the clock is
 simulated: it advances by the problem's reported (deterministic)
 eval_time only, and the *recorded* solver_time is 0.0, so that
 rerunning a configuration, budget included, yields byte-identical CSV
-files on any machine.
+files however fast the machine is.  The bytes hold for the same numpy,
+scipy and OpenBLAS build at the same BLAS thread count (the stamp that
+``tests/golden_manifest.json`` records), and for the same batch shapes:
+the rounding of a matrix product depends on how many rows share it.
 
 An :class:`EvaluationError` (a failed external command or a non-finite
-objective) aborts the run: the partial log is kept, flagged
-``aborted``, with the diagnostic in ``note``.
+objective) or a solver's :class:`FitError` aborts the run: the partial
+log is kept, flagged ``aborted``, with the diagnostic in ``note``; a
+failed ``observe`` keeps its evaluation as the log's last row.
 """
 
 import time
@@ -29,6 +33,7 @@ from ..core import RunLog, write_run_log
 from ..core.rng import derive_seed
 from ..problems import EvaluationError, make_problem
 from ..solvers import make_solver
+from ..surrogates import FitError
 from .config import ExperimentConfig
 
 
@@ -49,7 +54,11 @@ def run_single(problem, solver, max_eval, rand_init, seed,
         if budget_seconds is not None and elapsed() >= budget_seconds:
             break
         tick = time.perf_counter()
-        point = solver.suggest()
+        try:
+            point = solver.suggest()
+        except FitError as err:
+            aborted, note = True, f"{type(err).__name__}: {err}"
+            break
         suggest_time = time.perf_counter() - tick
         try:
             objective, eval_time = problem.evaluate(point, virtual=virtual_time)
@@ -58,7 +67,10 @@ def run_single(problem, solver, max_eval, rand_init, seed,
             note = str(err)
             break
         tick = time.perf_counter()
-        solver.observe(point, objective)
+        try:
+            solver.observe(point, objective)
+        except FitError as err:
+            aborted, note = True, f"{type(err).__name__}: {err}"
         observe_time = time.perf_counter() - tick
 
         virtual_clock += eval_time
@@ -66,6 +78,8 @@ def run_single(problem, solver, max_eval, rand_init, seed,
         objectives.append(objective)
         eval_times.append(eval_time)
         solver_times.append(0.0 if virtual_time else suggest_time + observe_time)
+        if aborted:
+            break
 
     return RunLog(
         problem_id=problem.id,

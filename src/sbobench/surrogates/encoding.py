@@ -3,8 +3,8 @@
 Surrogate models and acquisition routines operate on fixed-length
 float vectors: continuous values pass through, integers become floats,
 and categorical values are replaced by their category index.  Activity
-flags are not encoded -- inactive variables contribute their carried
-value, which keeps the encoding total and invertible.
+is not encoded -- inactive variables contribute their carried value,
+which keeps the encoding total and invertible.
 """
 
 from typing import Sequence
@@ -79,5 +79,4 @@ def nearest_point(space: SearchSpace, vector: Sequence[float]) -> Point:
             values.append(v.categories[idx])
         else:
             values.append(int(np.rint(min(max(x, v.lower), v.upper))))
-    vals = tuple(values)
-    return Point(values=vals, active=space.activity(vals))
+    return Point(tuple(values))

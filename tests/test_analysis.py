@@ -4,15 +4,9 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, stats
 
-from sbobench.analysis import (
-    auc,
-    normalize_curves,
-    pairwise_ttest,
-    regularized_incomplete_beta,
-    student_t_sf2,
-)
+from sbobench.analysis import auc, normalize_curves, pairwise_ttest
 from sbobench.core import best_so_far, make_rng
 
 from run_log_helpers import make_log
@@ -133,14 +127,29 @@ def _p_two_sided_quadrature(t: float, df: float) -> float:
     return 2.0 * tail
 
 
+def _random_pairs():
+    """50 pairs of samples of 2-14 values with unequal means and spreads."""
+    rng = make_rng(11)
+    for _ in range(50):
+        n = int(rng.integers(2, 15))
+        m = int(rng.integers(2, 15))
+        a = rng.normal(0.0, 1.0, size=n)
+        b = rng.normal(rng.uniform(-1.5, 1.5), rng.uniform(0.5, 2.0), size=m)
+        yield a, b
+
+
+def _near_equal_pairs():
+    """50 samples, each against its reverse plus small noise: p-values close to 1."""
+    rng = make_rng(12)
+    for _ in range(50):
+        a = rng.normal(size=int(rng.integers(2, 15)))
+        yield a, a[::-1] + 1e-3 * rng.normal(size=a.size)
+
+
 class TestPairwiseTtest:
     def test_matches_quadrature_oracle(self):
-        rng = make_rng(11)
-        for _ in range(50):
-            n = int(rng.integers(2, 15))
-            m = int(rng.integers(2, 15))
-            a = rng.normal(0.0, 1.0, size=n)
-            b = rng.normal(rng.uniform(-1.5, 1.5), rng.uniform(0.5, 2.0), size=m)
+        for a, b in _random_pairs():
+            n, m = a.size, b.size
             mean_a, mean_b = a.mean(), b.mean()
             pooled = ((n - 1) * a.var(ddof=1) + (m - 1) * b.var(ddof=1)) / (n + m - 2)
             if pooled == 0.0:
@@ -148,6 +157,12 @@ class TestPairwiseTtest:
             t = (mean_a - mean_b) / math.sqrt(pooled * (1 / n + 1 / m))
             expected = _p_two_sided_quadrature(t, n + m - 2)
             assert pairwise_ttest(a, b) == pytest.approx(expected, abs=1e-6)
+
+    def test_agrees_with_scipy_ttest_ind(self):
+        literal = ([1, 2, 3, 4, 5, 6, 7, 8], [1.0001, 2, 3, 4, 5, 6, 7, 8])
+        for a, b in [*_random_pairs(), *_near_equal_pairs(), literal]:
+            expected = stats.ttest_ind(a, b, equal_var=True).pvalue
+            assert pairwise_ttest(a, b) == pytest.approx(expected, abs=1e-14)
 
     def test_symmetry(self):
         rng = make_rng(5)
@@ -178,37 +193,6 @@ class TestPairwiseTtest:
     def test_requires_two_values_per_sample(self):
         with pytest.raises(ValueError, match="two values"):
             pairwise_ttest([1.0], [1.0, 2.0])
-
-
-class TestRegularizedIncompleteBeta:
-    def test_edges(self):
-        assert regularized_incomplete_beta(2.0, 3.0, 0.0) == 0.0
-        assert regularized_incomplete_beta(2.0, 3.0, 1.0) == 1.0
-
-    def test_arcsine_closed_form(self):
-        for x in (0.1, 0.25, 0.5, 0.9):
-            expected = 2.0 / math.pi * math.asin(math.sqrt(x))
-            assert regularized_incomplete_beta(0.5, 0.5, x) == pytest.approx(
-                expected, abs=1e-12
-            )
-
-    def test_complement_symmetry(self):
-        rng = make_rng(2)
-        for _ in range(30):
-            a = float(rng.uniform(0.3, 8.0))
-            b = float(rng.uniform(0.3, 8.0))
-            x = float(rng.uniform(0.01, 0.99))
-            lhs = regularized_incomplete_beta(a, b, x)
-            rhs = 1.0 - regularized_incomplete_beta(b, a, 1.0 - x)
-            assert lhs == pytest.approx(rhs, abs=1e-12)
-
-    def test_invalid_inputs(self):
-        with pytest.raises(ValueError):
-            regularized_incomplete_beta(-1.0, 2.0, 0.5)
-        with pytest.raises(ValueError):
-            regularized_incomplete_beta(1.0, 2.0, 1.5)
-        with pytest.raises(ValueError):
-            student_t_sf2(1.0, 0.0)
 
 
 class TestAuc:

@@ -27,7 +27,7 @@ def test_mixed_space_is_encoded_in_declaration_order(mixed_space):
 
 def test_inactive_variables_keep_their_encoded_value(mixed_space):
     pt = mixed_space.make_point({"alg": "a", "x": 0.25, "k": 4, "gamma": 2.5})
-    assert not pt.active[mixed_space.index("gamma")]
+    assert not mixed_space.activity(pt.values)[mixed_space.index("gamma")]
     assert encode(mixed_space, pt)[3] == 2.5
 
 

@@ -1,11 +1,14 @@
 """Golden outputs: every file four virtual-time CLI configurations write, by sha256.
 
 The runner promises byte-identical virtual-time logs on rerun.  This
-test reruns four configurations and compares each file they write with
-the digest in ``golden_manifest.json``, naming every differing, missing
-or extra file.  The manifest also holds the stamp it was made under
-(numpy and scipy versions, threads per bundled OpenBLAS pool); a failure
-on another build is evidence about the "any machine" claim.
+test reruns four configurations, runs README's analysis pipeline over
+the ``criterion-10`` logs (curves, replay grid, rules tree and one
+offline fit), and compares each file written with the digest in
+``golden_manifest.json``, naming every differing, missing or extra
+file.  The manifest also holds the stamp it was made under (numpy and
+scipy versions, threads per bundled OpenBLAS pool): the byte-identity
+claim holds for that build and thread count, and a failure on another
+build is evidence about how far it reaches.
 
 After an intended change to outputs, rewrite the manifest with::
 
@@ -27,6 +30,15 @@ from pathlib import Path
 import numpy
 import scipy
 
+from sbobench.analysis import (
+    emit_report,
+    fit_rules_tree,
+    normalize_curves,
+    offline_eval,
+    replay,
+    rule_dataset,
+)
+from sbobench.core import load_run_logs
 from sbobench.harness.cli import main
 from sbobench.surrogates.blas import bundled_openblas
 
@@ -43,6 +55,7 @@ CONFIGURATIONS = {
     "criterion-10": ["--repetitions=2", "--max-eval=50", "--rand-evals-all=10", "--seed=3",
                      "--virtual-time", "esp-proxy", "randomsearch", "gp-ucb"],
 }
+ANALYSED = "criterion-10"  # the configuration whose logs the analysis pipeline reads
 _BLAS_GETTERS = ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads",
                  "openblas_get_num_threads64_", "openblas_get_num_threads")
 
@@ -59,13 +72,28 @@ def stamp() -> dict:
     return {"numpy": numpy.__version__, "scipy": scipy.__version__, "openblas_threads": pools}
 
 
+def analyse(logs_dir: Path, out: Path) -> None:
+    """README's analysis pipeline over the logs in ``logs_dir``; its four reports under ``out``."""
+    pairs = load_run_logs(logs_dir)
+    logs = [log for log, _ in pairs]
+    grid = replay(logs)
+    problem = logs[0].problem_id
+    emit_report(normalize_curves(logs, R=10), out / "curves.csv")
+    emit_report(grid, out / "grid.csv")
+    emit_report(fit_rules_tree(*rule_dataset({problem: grid}, {problem: (False, False)})),
+                out / "rules.json")
+    emit_report(offline_eval(pairs, "forest", train_len=20, seed=3), out / "offline_forest.json")
+
+
 def digests(root: Path) -> dict:
-    """Run every configuration under ``root``; sha256 of each file written, by relative path."""
+    """Run every configuration, then the analysis, under ``root``; sha256 of each
+    file written, by relative path."""
     for name, argv in CONFIGURATIONS.items():
         with contextlib.redirect_stdout(io.StringIO()):
             status = main([f"--out-path={root / name}", *argv])
         if status != 0:
             raise RuntimeError(f"{name} exited with status {status}")
+    analyse(root / ANALYSED, root / f"{ANALYSED}-reports")
     return {path.relative_to(root).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
             for path in sorted(root.rglob("*")) if path.is_file()}
 

@@ -29,7 +29,8 @@ from sbobench.problems import (
     unregister_problem,
     with_delay,
 )
-from sbobench.solvers import make_solver
+from sbobench.solvers import make_solver, pwl
+from sbobench.surrogates import FitError
 
 
 class TestRunSingle:
@@ -107,6 +108,22 @@ class TestRunSingle:
         assert log.aborted
         assert len(log.records) == 4
         assert "simulator crashed" in log.note
+
+    def test_fit_error_in_suggest_keeps_the_rows_before_it(self):
+        problem = sphere(d=2)
+        solver = make_solver("randomsearch", problem.space, R=2, seed=8)
+        suggest = solver.suggest
+
+        def failing_fourth():
+            if solver.iteration == 3:
+                raise FitError("no model")
+            return suggest()
+
+        solver.suggest = failing_fourth
+        log = run_single(problem, solver, max_eval=10, rand_init=2, seed=8)
+        assert log.aborted
+        assert len(log) == 3
+        assert log.note == "FitError: no model"
 
 
 class TestRunExperiment:
@@ -359,6 +376,35 @@ class TestCliMain:
             assert "not finite" in meta["note"]
         logs = load_run_logs(tmp_path)
         assert [len(log.records) for log, _ in logs] == [3, 3]
+
+    def test_fit_error_aborts_only_its_run(self, tmp_path, capsys, monkeypatch):
+        fit = pwl.fit_least_squares
+        calls = []
+
+        def failing_fourth(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 4:
+                raise FitError("normal equations could not be factorised")
+            return fit(*args, **kwargs)
+
+        monkeypatch.setattr(pwl, "fit_least_squares", failing_fourth)
+        code = main([
+            "--max-eval=12", "--rand-evals-all=5", "--virtual-time", "--jobs=1",
+            f"--out-path={tmp_path}", "sphere", "pwl-low", "randomsearch",
+        ])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert [line for line in err if line.startswith("aborted: ")] == [
+            f"aborted: {tmp_path / 'sphere__pwl-low__r001.csv'}: "
+            "FitError: normal equations could not be factorised"]
+        (pwl_log, _), (random_log, _) = load_run_logs(tmp_path)
+        # Refits start at the 5th observation, so the 4th fails on the 8th;
+        # that evaluation stays as the last row.
+        assert pwl_log.solver_id == "pwl-low" and len(pwl_log) == 8
+        assert pwl_log.aborted
+        assert pwl_log.note == "FitError: normal equations could not be factorised"
+        assert random_log.solver_id == "randomsearch" and len(random_log) == 12
+        assert not random_log.aborted
 
     def test_nan_budget_is_usage_error(self, tmp_path, capsys):
         code = main([

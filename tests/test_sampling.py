@@ -71,7 +71,7 @@ def test_inactive_children_are_still_sampled(mixed_space):
     for _ in range(100):
         pt = sample_uniform(mixed_space, rng)
         assert isinstance(pt.values[gi], float)
-        if not pt.active[gi]:
+        if not mixed_space.activity(pt.values)[gi]:
             saw_inactive_value = True
     assert saw_inactive_value
 
@@ -91,7 +91,7 @@ def test_parents_sampled_before_children_regardless_of_declaration():
     for _ in range(50):
         pt = sample_uniform(space, rng)
         assert validate_point(space, pt) is None
-        assert pt.active[0] == (pt.values[1] == "yes")
+        assert space.activity(pt.values)[0] == (pt.values[1] == "yes")
 
 
 def test_different_seeds_give_different_first_draws(box_space):
