@@ -27,7 +27,6 @@ The package is organised around a small number of layers:
 
 from sbobench.core import (
     EvaluationRecord,
-    Point,
     RunLog,
     SearchSpace,
     VariableSpec,
@@ -41,7 +40,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "EvaluationRecord",
-    "Point",
     "RunLog",
     "SearchSpace",
     "VariableSpec",

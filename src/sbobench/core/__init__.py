@@ -14,7 +14,6 @@ from sbobench.core.space import (
     CONTINUOUS,
     INTEGER,
     Condition,
-    Point,
     SearchSpace,
     VariableSpec,
     sample_uniform,
@@ -33,7 +32,6 @@ __all__ = [
     "EvaluationRecord",
     "PHASE_MODEL",
     "PHASE_RANDOM",
-    "Point",
     "RNG_ALGORITHM",
     "RunLog",
     "SearchSpace",

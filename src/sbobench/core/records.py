@@ -7,7 +7,6 @@ from typing import Mapping
 import numpy as np
 
 from sbobench.core.rng import RNG_ALGORITHM
-from sbobench.core.space import Point
 
 PHASE_RANDOM = "random_init"
 PHASE_MODEL = "model_guided"
@@ -17,12 +16,14 @@ PHASE_MODEL = "model_guided"
 class EvaluationRecord:
     """One row of a run log as a plain object; :attr:`RunLog.records` builds these.
 
-    ``eval_time`` is the simulator's reported cost and ``solver_time`` the
-    time spent suggesting the point and absorbing the observation, in seconds.
+    ``point`` is the tuple of the row's values, in the space's declaration
+    order.  ``eval_time`` is the simulator's reported cost and
+    ``solver_time`` the time spent suggesting the point and absorbing the
+    observation, in seconds.
     """
 
     iteration: int
-    point: Point
+    point: tuple
     objective: float
     eval_time: float
     solver_time: float

@@ -21,7 +21,6 @@ from sbobench.core.records import RowError, RunLog, check_numbering, phases
 from sbobench.core.space import (
     CONTINUOUS,
     INTEGER,
-    Point,
     SearchSpace,
     space_from_jsonable,
     space_to_jsonable,
@@ -107,7 +106,7 @@ def write_run_log(log: RunLog, space: SearchSpace, csv_path, extra: dict | None 
     """
     csv_path = Path(csv_path)
     n = len(log)
-    values = zip(*(point.values for point in log.points))
+    values = zip(*log.points)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(_columns(space))
@@ -172,7 +171,7 @@ def read_run_log(csv_path) -> tuple[RunLog, SearchSpace]:
         check_numbering(parsed(0, int), cells[1], rand_init)
         log = RunLog(
             header["problem_id"], header["solver_id"], int(header["seed"]), rand_init,
-            points=list(map(Point, values)),
+            points=list(values),
             objectives=parsed(-3, float),
             eval_times=parsed(-2, float),
             solver_times=parsed(-1, float),

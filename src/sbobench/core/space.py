@@ -1,11 +1,12 @@
 """Mixed search spaces: variables, conditionality, points and sampling.
 
 A search space is an ordered collection of continuous, integer and
-categorical variables.  A variable may be conditional on a categorical
-parent taking one specific category; inactive variables still carry a
-value in every point, and activity is computed by the space from those
-values, not stored.  Categorical values are handled ordinally (by
-index) wherever a numeric view is needed.
+categorical variables.  A point is the plain tuple of its values, in
+the space's declaration order.  A variable may be conditional on a
+categorical parent taking one specific category; inactive variables
+still carry a value in every point, and activity is computed by the
+space from those values, not stored.  Categorical values are handled
+ordinally (by index) wherever a numeric view is needed.
 """
 
 import itertools
@@ -81,19 +82,6 @@ class VariableSpec:
                 raise ValueError(f"{self.name}: integer bounds must be whole numbers")
             object.__setattr__(self, "lower", lo)
             object.__setattr__(self, "upper", hi)
-
-
-@dataclass(frozen=True)
-class Point:
-    """A configuration: one value per variable.
-
-    ``values`` is aligned with the declaration order of the owning
-    space.  Inactive conditional variables keep their sampled or
-    constructed value; which variables currently influence the
-    objective is :meth:`SearchSpace.activity` of ``values``.
-    """
-
-    values: tuple
 
 
 @dataclass(frozen=True)
@@ -228,8 +216,8 @@ class SearchSpace:
             active[i] = active[p] and values[p] == category
         return tuple(active)
 
-    def make_point(self, values: Mapping[str, object]) -> Point:
-        """Build a :class:`Point` from a name->value mapping.
+    def make_point(self, values: Mapping[str, object]) -> tuple:
+        """Build a point, the tuple of its values in declaration order, from a mapping.
 
         Values are coerced to their storage types (float / int / str).
         Bounds are not checked here -- that is :func:`validate_point`'s job.
@@ -251,13 +239,13 @@ class SearchSpace:
                 row.append(int(raw))
             else:
                 row.append(str(raw))
-        return Point(tuple(row))
+        return tuple(row)
 
-    def as_mapping(self, point: Point) -> dict:
-        return {v.name: point.values[i] for i, v in enumerate(self.variables)}
+    def as_mapping(self, point: tuple) -> dict:
+        return {v.name: point[i] for i, v in enumerate(self.variables)}
 
 
-def validate_point(space: SearchSpace, point: Point) -> str | None:
+def validate_point(space: SearchSpace, point: tuple) -> str | None:
     """Check a point against a space.
 
     Returns ``None`` when every value fits its variable's type and domain,
@@ -266,9 +254,9 @@ def validate_point(space: SearchSpace, point: Point) -> str | None:
     out of bounds rather than an error.
     """
     n = len(space.variables)
-    if len(point.values) != n:
-        return f"point has {len(point.values)} values for a {n}-variable space"
-    for val, (name, kind, lower, upper, categories) in zip(point.values, space._checks):
+    if len(point) != n:
+        return f"point has {len(point)} values for a {n}-variable space"
+    for val, (name, kind, lower, upper, categories) in zip(point, space._checks):
         if kind == CONTINUOUS:
             if (isinstance(val, bool) or not isinstance(val, (int, float))
                     or (isinstance(val, float) and not math.isfinite(val))):
@@ -285,7 +273,7 @@ def validate_point(space: SearchSpace, point: Point) -> str | None:
     return None
 
 
-def sample_uniform(space: SearchSpace, rng: np.random.Generator) -> Point:
+def sample_uniform(space: SearchSpace, rng: np.random.Generator) -> tuple:
     """Draw one point uniformly, each variable over its own domain.
 
     Variables are drawn in dependency order (parents before children,
@@ -310,7 +298,7 @@ def sample_uniform(space: SearchSpace, rng: np.random.Generator) -> Point:
         else:
             drawn += map(operator.getitem, domains, rng.integers(0, size).tolist())
     position = space._from_topo_order
-    return Point(tuple(drawn) if position is None else tuple([drawn[k] for k in position]))
+    return tuple(drawn) if position is None else tuple([drawn[k] for k in position])
 
 
 def variable_to_jsonable(v: VariableSpec) -> dict:

@@ -37,8 +37,7 @@ from ..surrogates import FitError
 from .config import ExperimentConfig
 
 
-def run_single(problem, solver, max_eval, rand_init, seed,
-               budget_seconds=None, virtual_time=False,
+def run_single(problem, solver, max_eval, budget_seconds=None, virtual_time=False,
                overrides=None) -> RunLog:
     """Drive one solver on one problem until a stop rule fires."""
     points, objectives, eval_times, solver_times = [], [], [], []
@@ -84,8 +83,8 @@ def run_single(problem, solver, max_eval, rand_init, seed,
     return RunLog(
         problem_id=problem.id,
         solver_id=solver.kind,
-        seed=seed,
-        rand_init=rand_init,
+        seed=solver.seed,
+        rand_init=solver.R,
         points=points,
         objectives=objectives,
         eval_times=eval_times,
@@ -131,11 +130,8 @@ def run_experiment(cfg: ExperimentConfig):
         solver_overrides = dict(cfg.overrides.get(kind, {}))
         solver = make_solver(kind, problem.space, R=cfg.rand_init, seed=seed,
                              overrides=solver_overrides)
-        log = run_single(
-            problem, solver, cfg.max_eval, cfg.rand_init, seed,
-            budget_seconds=cfg.budget_seconds, virtual_time=cfg.virtual_time,
-            overrides=solver_overrides,
-        )
+        log = run_single(problem, solver, cfg.max_eval, budget_seconds=cfg.budget_seconds,
+                         virtual_time=cfg.virtual_time, overrides=solver_overrides)
         path = out_dir / log_filename(problem.id, solver.kind, repetition)
         write_run_log(log, problem.space, path, extra=header)
         return path, (log.note if log.aborted else None)

@@ -96,7 +96,7 @@ class EspProblem(Problem):
                          noise_sigma=noise_sigma, noise_seed=seed)
 
     def option_indices(self, point) -> np.ndarray:
-        return np.fromiter(map(int, point.values), dtype=int, count=len(point.values))
+        return np.fromiter(map(int, point), dtype=int, count=len(point))
 
     def objective_of_indices(self, options) -> float:
         """Objective for a raw option-index vector (used by tests/DP).

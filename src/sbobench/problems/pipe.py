@@ -39,7 +39,7 @@ class PipeProblem(Problem):
         self.radius = 0.3 * np.sqrt(d)
 
     def _objective(self, point) -> float:
-        x = np.asarray(point.values, dtype=float)
+        x = np.asarray(point, dtype=float)
         z = x - 0.5
         dist = float(np.sqrt(np.sum(z**2)))
         if dist > self.radius:

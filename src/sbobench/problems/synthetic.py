@@ -21,7 +21,7 @@ class SphereProblem(Problem):
                          noise_sigma=noise_sigma)
 
     def _objective(self, point) -> float:
-        x = np.asarray(point.values, dtype=float)
+        x = np.asarray(point, dtype=float)
         return float(np.sum(x**2))
 
 
@@ -33,7 +33,7 @@ class RosenbrockProblem(Problem):
                          noise_sigma=noise_sigma)
 
     def _objective(self, point) -> float:
-        x = np.asarray(point.values, dtype=float)
+        x = np.asarray(point, dtype=float)
         return float(np.sum(100.0 * (x[1:] - x[:-1] ** 2) ** 2
                             + (1.0 - x[:-1]) ** 2))
 

@@ -67,7 +67,7 @@ class WindWakeProblem(Problem):
 
     def layout(self, point) -> np.ndarray:
         """Turbine coordinates as an (n_turbines, 2) array."""
-        values = np.asarray(point.values, dtype=float)
+        values = np.asarray(point, dtype=float)
         return values.reshape(self.n_turbines, 2)
 
     def farm_power(self, positions: np.ndarray, theta: float, speed: float) -> float:

@@ -1,12 +1,12 @@
 """Solver loop state: suggest / observe with a random warm-up phase.
 
 Every solver owns a search space, an RNG stream, and a history of
-``(Point, y)`` pairs.  The first ``R`` suggestions are uniform samples
-drawn directly from the state's RNG (so they reproduce the
-``sample_uniform`` stream exactly); afterwards the solver's acquisition
-strategy takes over.  Model-based solvers fit their surrogate lazily:
-the model appears once ``R`` observations have arrived and is refit on
-every later observation.
+``(point, y)`` pairs, a point being the tuple of its values.  The
+first ``R`` suggestions are uniform samples drawn directly from the
+state's RNG (so they reproduce the ``sample_uniform`` stream exactly);
+afterwards the solver's acquisition strategy takes over.  Model-based
+solvers fit their surrogate lazily: the model appears once ``R``
+observations have arrived and is refit on every later observation.
 
 Acquisition happens in the encoded box (ordinal indices for categorical
 variables).  Suggested vectors are decoded with ``nearest_point``, which

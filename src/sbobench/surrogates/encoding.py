@@ -11,18 +11,18 @@ from typing import Sequence
 
 import numpy as np
 
-from sbobench.core.space import CATEGORICAL, CONTINUOUS, Point, SearchSpace
+from sbobench.core.space import CATEGORICAL, CONTINUOUS, SearchSpace
 
 
-def encode(space: SearchSpace, point: Point) -> np.ndarray:
+def encode(space: SearchSpace, point: tuple) -> np.ndarray:
     """Encode one point as a float vector (categoricals by index)."""
     return encode_points(space, (point,))[0]
 
 
-def encode_points(space: SearchSpace, points: Sequence[Point]) -> np.ndarray:
+def encode_points(space: SearchSpace, points: Sequence[tuple]) -> np.ndarray:
     """Encode a sequence of points as an (n, d) matrix, one column per variable."""
     out = np.empty((len(points), space.dimension))
-    columns = zip(*(p.values for p in points))
+    columns = zip(*points)
     for i, (v, column) in enumerate(zip(space.variables, columns)):
         if v.kind == CATEGORICAL:
             index = {c: k for k, c in enumerate(v.categories)}
@@ -62,7 +62,7 @@ def encoded_bounds(space: SearchSpace) -> tuple[np.ndarray, np.ndarray]:
     return lower, upper
 
 
-def nearest_point(space: SearchSpace, vector: Sequence[float]) -> Point:
+def nearest_point(space: SearchSpace, vector: Sequence[float]) -> tuple:
     """Map an arbitrary encoded vector to the nearest valid point.
 
     Each coordinate is clamped to its encoded range first, then integer
@@ -79,4 +79,4 @@ def nearest_point(space: SearchSpace, vector: Sequence[float]) -> Point:
             values.append(v.categories[idx])
         else:
             values.append(int(np.rint(min(max(x, v.lower), v.upper))))
-    return Point(tuple(values))
+    return tuple(values)

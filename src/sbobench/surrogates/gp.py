@@ -222,8 +222,9 @@ def optimise_hyperparameters(
         starts.append(rng.uniform(lo, hi))
 
     best_theta, best_lml = None, -np.inf
-    for theta in starts:
-        theta = np.clip(np.asarray(theta, dtype=float), lo, hi)
+    # A repeated start would retrace an ascent already run, so each runs once.
+    for theta in dict.fromkeys(tuple(np.clip(start, lo, hi)) for start in starts):
+        theta = np.array(theta)
         lml, terms = _lml(dists, y, theta)
         if lml is None:
             continue

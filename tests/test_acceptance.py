@@ -48,7 +48,7 @@ def test_criterion_01_gp_matches_dense_solve():
     space = make_problem("sphere", d=3).space
     points = [space.make_point({"x0": a, "x1": b, "x2": c})
               for a, b, c in rng.uniform(-5.0, 5.0, size=(25, 3))]
-    targets = [float(np.sin(p.values[0]) + 0.5 * p.values[1] ** 2 - p.values[2])
+    targets = [float(np.sin(p[0]) + 0.5 * p[1] ** 2 - p[2])
                for p in points]
     model = fit_gp(space, encode_points(space, points), np.array(targets))
 
@@ -114,7 +114,7 @@ def test_criterion_03_suggest_is_exact_ucb_argmax():
         data_rng = make_rng(derive_seed(404, "data", trial))
         for _ in range(12):
             point = sample_uniform(space, data_rng)
-            solver.observe(point, float(np.sum(np.square(point.values))))
+            solver.observe(point, float(np.sum(np.square(point))))
         suggestion = solver.suggest()
         audit = solver.last_proposal
         scores = -audit["means"] + DEFAULT_BETA * np.sqrt(audit["variances"])
@@ -132,7 +132,7 @@ def test_criterion_03_suggest_is_exact_ucb_argmax():
         data_rng = make_rng(derive_seed(606, "data", trial))
         for _ in range(12):
             point = sample_uniform(space, data_rng)
-            solver.observe(point, float(np.sum(np.square(point.values))))
+            solver.observe(point, float(np.sum(np.square(point))))
         suggestion = solver.suggest()
         audit = solver.last_proposal
         scores = -audit["means"] + DEFAULT_BETA * np.sqrt(audit["variances"])
@@ -206,7 +206,7 @@ def test_criterion_05_normalisation_endpoints():
     solver = make_solver(
         "randomsearch", problem.space, R=5, seed=derive_seed(11, "randomsearch", 0)
     )
-    log = run_single(problem, solver, max_eval=12, rand_init=5, seed=0, virtual_time=True)
+    log = run_single(problem, solver, max_eval=12, virtual_time=True)
     curve = normalize_curves([log], R=5)["randomsearch"]
     bsf = best_so_far(log)
     normalised = (bsf - curve.r0) / (curve.r1 - curve.r0)

@@ -27,7 +27,7 @@ def test_mixed_space_is_encoded_in_declaration_order(mixed_space):
 
 def test_inactive_variables_keep_their_encoded_value(mixed_space):
     pt = mixed_space.make_point({"alg": "a", "x": 0.25, "k": 4, "gamma": 2.5})
-    assert not mixed_space.activity(pt.values)[mixed_space.index("gamma")]
+    assert not mixed_space.activity(pt)[mixed_space.index("gamma")]
     assert encode(mixed_space, pt)[3] == 2.5
 
 
@@ -46,7 +46,7 @@ def test_encode_points_equals_rowwise_reference(make_problem):
     pts = [sample_uniform(space, rng) for _ in range(300)]
     expected = np.array([
         [v.categories.index(x) if v.kind == "categorical" else float(x)
-         for v, x in zip(space.variables, p.values)]
+         for v, x in zip(space.variables, p)]
         for p in pts
     ], dtype=float)
     got = encode_points(space, pts)
@@ -80,19 +80,19 @@ def test_encoded_bounds(mixed_space):
 class TestNearestPoint:
     def test_integer_rounds_to_nearest(self):
         space = SearchSpace((VariableSpec("k", "integer", lower=0, upper=5),))
-        assert nearest_point(space, [2.7]).values == (3,)
+        assert nearest_point(space, [2.7]) == (3,)
 
     def test_categorical_clamps_then_rounds(self):
         space = SearchSpace(
             (VariableSpec("c", "categorical", categories=tuple("abcdefgh")),)
         )
-        assert nearest_point(space, [7.9]).values == ("h",)  # index 7 after clamping
-        assert nearest_point(space, [-3.0]).values == ("a",)
+        assert nearest_point(space, [7.9]) == ("h",)  # index 7 after clamping
+        assert nearest_point(space, [-3.0]) == ("a",)
 
     def test_continuous_clamps_to_box(self):
         space = SearchSpace((VariableSpec("x", "continuous", lower=0.0, upper=1.0),))
-        assert nearest_point(space, [1.7]).values == (1.0,)
-        assert nearest_point(space, [0.4]).values == (0.4,)
+        assert nearest_point(space, [1.7]) == (1.0,)
+        assert nearest_point(space, [0.4]) == (0.4,)
 
     def test_result_always_validates(self, mixed_space):
         rng = np.random.default_rng(1)

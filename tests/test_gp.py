@@ -15,6 +15,7 @@ from sbobench.surrogates import (
     load_model,
     matern52,
 )
+from sbobench.surrogates import gp as gp_module
 from sbobench.surrogates.encoding import encode_points
 from sbobench.surrogates.gp import (
     NOISE_FLOOR,
@@ -193,7 +194,7 @@ def _reference_search(dists, y, box_diagonal, init, multistarts, steps, seed):
 
 @pytest.mark.parametrize("d", [3, 10, 49])
 @pytest.mark.parametrize("n", [30, 150])
-def test_hyperparameter_search_equals_reference_loop(d, n):
+def test_hyperparameter_search_equals_reference_loop(d, n, monkeypatch):
     rng = make_rng(1000 * d + n)
     X = rng.uniform(size=(n, d))
     y = np.sin(3.0 * X[:, 0]) + X[:, 1:].sum(axis=1) ** 2 / d + 0.01 * rng.normal(size=n)
@@ -202,6 +203,25 @@ def test_hyperparameter_search_equals_reference_loop(d, n):
     for multistarts, steps in ((2, 10), (3, 60)):
         args = (dists, y, math.sqrt(d), init, multistarts, steps, d)
         assert optimise_hyperparameters(*args) == _reference_search(*args)
+
+    # A warm start equal to the default start is run once, not twice: it costs
+    # what the search without it costs with one start fewer, and wins nothing.
+    calls = []
+    lml = gp_module._lml
+    monkeypatch.setattr(gp_module, "_lml", lambda *a: calls.append(1) or lml(*a))
+
+    def search(start, multistarts, steps):
+        calls.clear()
+        params = optimise_hyperparameters(dists, y, math.sqrt(d), start, multistarts, steps, d)
+        return params, len(calls)
+
+    y_var = max(float(np.var(y)), 1e-12)
+    default = MaternParams(0.25 * math.sqrt(d), y_var, 1e-4 * y_var + NOISE_FLOOR)
+    for multistarts, steps in ((1, 10), (2, 10), (3, 60)):
+        params, n_calls = search(default, multistarts, steps)
+        assert (params, n_calls) == search(None, max(multistarts - 1, 1), steps)
+        assert params == _reference_search(dists, y, math.sqrt(d), default, multistarts,
+                                           steps, d)
 
 
 def test_round_trip_serialisation(cube3, tmp_path):

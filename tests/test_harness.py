@@ -37,7 +37,7 @@ class TestRunSingle:
     def test_stops_at_max_eval(self):
         problem = sphere(d=2)
         solver = make_solver("randomsearch", problem.space, R=3, seed=1)
-        log = run_single(problem, solver, max_eval=12, rand_init=3, seed=1)
+        log = run_single(problem, solver, max_eval=12)
         assert len(log.records) == 12
         assert not log.aborted
         assert [r.iteration for r in log.records] == list(range(1, 13))
@@ -45,15 +45,14 @@ class TestRunSingle:
     def test_phases_split_at_rand_init(self):
         problem = sphere(d=2)
         solver = make_solver("forest-ucb", problem.space, R=4, seed=2)
-        log = run_single(problem, solver, max_eval=7, rand_init=4, seed=2)
+        log = run_single(problem, solver, max_eval=7)
         phases = [r.phase for r in log.records]
         assert phases == ["random_init"] * 4 + ["model_guided"] * 3
 
     def test_zero_budget_gives_empty_log(self):
         problem = sphere(d=2)
         solver = make_solver("randomsearch", problem.space, R=2, seed=0)
-        log = run_single(problem, solver, max_eval=50, rand_init=2, seed=0,
-                         budget_seconds=0.0)
+        log = run_single(problem, solver, max_eval=50, budget_seconds=0.0)
         assert log.empty
         assert not log.aborted
 
@@ -63,29 +62,28 @@ class TestRunSingle:
         # line) and the check before the fourth suggestion stops the run.
         problem = with_delay(sphere(d=2), 1.0)
         solver = make_solver("randomsearch", problem.space, R=2, seed=3)
-        log = run_single(problem, solver, max_eval=50, rand_init=2, seed=3,
-                         budget_seconds=2.5, virtual_time=True)
+        log = run_single(problem, solver, max_eval=50, budget_seconds=2.5,
+                         virtual_time=True)
         assert len(log.records) == 3
         assert all(r.eval_time == pytest.approx(1.0) for r in log.records)
 
     def test_virtual_mode_records_zero_solver_time(self):
         problem = sphere(d=3)
         solver = make_solver("gp-ucb", problem.space, R=3, seed=4)
-        log = run_single(problem, solver, max_eval=6, rand_init=3, seed=4,
-                         virtual_time=True)
+        log = run_single(problem, solver, max_eval=6, virtual_time=True)
         assert all(r.solver_time == 0.0 for r in log.records)
 
     def test_real_mode_solver_time_positive_for_model_solver(self):
         problem = sphere(d=2)
         solver = make_solver("gp-ucb", problem.space, R=3, seed=5)
-        log = run_single(problem, solver, max_eval=6, rand_init=3, seed=5)
+        log = run_single(problem, solver, max_eval=6)
         assert all(r.solver_time > 0.0 for r in log.records)
 
     def test_wall_clock_accounting_within_five_percent(self):
         problem = with_delay(sphere(d=2), 0.02)
         solver = make_solver("randomsearch", problem.space, R=2, seed=6)
         start = time.monotonic()
-        log = run_single(problem, solver, max_eval=25, rand_init=2, seed=6)
+        log = run_single(problem, solver, max_eval=25)
         total = time.monotonic() - start
         accounted = sum(r.eval_time + r.solver_time for r in log.records)
         assert abs(total - accounted) / total < 0.05
@@ -104,7 +102,7 @@ class TestRunSingle:
 
         problem = Flaky()
         solver = make_solver("randomsearch", problem.space, R=2, seed=7)
-        log = run_single(problem, solver, max_eval=20, rand_init=2, seed=7)
+        log = run_single(problem, solver, max_eval=20)
         assert log.aborted
         assert len(log.records) == 4
         assert "simulator crashed" in log.note
@@ -120,7 +118,7 @@ class TestRunSingle:
             return suggest()
 
         solver.suggest = failing_fourth
-        log = run_single(problem, solver, max_eval=10, rand_init=2, seed=8)
+        log = run_single(problem, solver, max_eval=10)
         assert log.aborted
         assert len(log) == 3
         assert log.note == "FitError: no model"
@@ -151,7 +149,7 @@ class TestRunExperiment:
         )
         run_experiment(cfg)
         logs = load_run_logs(tmp_path)
-        first_points = {log.records[0].point.values for log, _ in logs}
+        first_points = {log.records[0].point for log, _ in logs}
         seeds = {log.seed for log, _ in logs}
         assert len(first_points) == 3
         assert len(seeds) == 3

@@ -355,8 +355,8 @@ class TestConvertExternalCsv:
         assert [r.objective for r in log.records] == [5.0, 4.0, 3.5]
         assert [r.eval_time for r in log.records] == [0.5, 0.6, 0.4]
         assert [r.solver_time for r in log.records] == [0.01, 0.02, 0.03]
-        assert log.records[0].point.values == (0.25, 3, "a")
-        assert log.records[1].point.values == (0.75, 1, "b")
+        assert log.records[0].point == (0.25, 3, "a")
+        assert log.records[1].point == (0.75, 1, "b")
         assert [r.phase for r in log.records] == [
             PHASE_RANDOM,
             PHASE_RANDOM,
@@ -398,8 +398,8 @@ class TestConvertExternalCsv:
         src, mapping_path, _ = self._write_foreign(tmp_path)
         self._set_cell(src, "k", "3.0")
         log, _ = read_run_log(convert_external_csv(src, mapping_path, tmp_path / "native.csv"))
-        assert log.records[1].point.values == (0.75, 3, "b")
-        assert type(log.records[1].point.values[1]) is int
+        assert log.records[1].point == (0.75, 3, "b")
+        assert type(log.records[1].point[1]) is int
 
     @pytest.mark.parametrize("column, cell, message", [
         ("fx", "abc", "could not convert string to float: 'abc'"),

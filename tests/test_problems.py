@@ -60,7 +60,7 @@ class TestWindWake:
             obj, _ = p.evaluate(pt)
             if obj == 0.0:
                 continue
-            pos = [(pt.values[2 * i], pt.values[2 * i + 1]) for i in range(4)]
+            pos = [(pt[2 * i], pt[2 * i + 1]) for i in range(4)]
             powers = []
             for theta, speed in p.scenarios:
                 wind = (math.cos(theta), math.sin(theta))
@@ -126,7 +126,7 @@ class TestPipe:
         for _ in range(10_000):
             pt = sample_uniform(p.space, rng)
             obj, _ = p.evaluate(pt)
-            dist = math.dist(pt.values, [0.5] * 10)
+            dist = math.dist(pt, [0.5] * 10)
             if dist <= p.radius:
                 assert 0.4 <= obj < 2.0
                 feasible += 1

@@ -23,7 +23,6 @@ from sbobench.core import (
     PHASE_RANDOM,
     Condition,
     EvaluationRecord,
-    Point,
     RunLog,
     SearchSpace,
     VariableSpec,
@@ -36,6 +35,8 @@ from sbobench.core import (
 from sbobench.core.records import require_one_problem
 from sbobench.core.runio import _columns, sidecar_path
 from sbobench.problems import make_problem
+from sbobench.solvers import make_solver
+from sbobench.surrogates.encoding import encode, nearest_point
 
 from run_log_helpers import make_log
 
@@ -52,7 +53,7 @@ def reference_sample(space, rng):
             values[i] = int(rng.integers(int(v.lower), int(v.upper) + 1))
         else:
             values[i] = v.categories[int(rng.integers(0, len(v.categories)))]
-    return Point(tuple(values))
+    return tuple(values)
 
 
 def _reference_format(kind, value):
@@ -70,7 +71,7 @@ def reference_csv_text(log, space):
     writer.writerow(_columns(space))
     for rec in log.records:
         row = [str(rec.iteration), rec.phase]
-        for v, value in zip(space.variables, rec.point.values):
+        for v, value in zip(space.variables, rec.point):
             row.append(_reference_format(v.kind, value))
         row.extend(repr(float(x)) for x in (rec.objective, rec.eval_time, rec.solver_time))
         writer.writerow(row)
@@ -94,7 +95,7 @@ def reference_read(csv_path):
                 else:
                     values.append(cell)
             objective, eval_time, solver_time = (float(c) for c in row[2 + space.dimension :])
-            records.append(EvaluationRecord(int(row[0]), Point(tuple(values)),
+            records.append(EvaluationRecord(int(row[0]), tuple(values),
                                             objective, eval_time, solver_time, row[1]))
     return records
 
@@ -195,7 +196,7 @@ def test_sampler_reproduces_the_per_variable_stream(name):
         for _ in range(40):
             got, want = sample_uniform(space, rng), reference_sample(space, ref)
             assert got == want
-            assert [type(v) for v in got.values] == [type(v) for v in want.values]
+            assert [type(v) for v in got] == [type(v) for v in want]
             assert _state(rng) == _state(ref)
 
 
@@ -203,7 +204,7 @@ def test_sampler_follows_dependency_order_in_conditional_spaces():
     space = conditional_space()
     assert space._topo_order != tuple(range(space.dimension))
     rng = make_rng(9)
-    seen = {space.activity(sample_uniform(space, rng).values) for _ in range(300)}
+    seen = {space.activity(sample_uniform(space, rng)) for _ in range(300)}
     assert len(seen) >= 3  # several activity patterns occur
 
 
@@ -227,16 +228,25 @@ def _sampled_log(space, n, seed, rand_init=3, problem=None):
 @pytest.mark.parametrize("name", sorted(SPACES))
 def test_writer_bytes_and_reader_records_equal_the_references(name, tmp_path):
     space = SPACES[name]()
+    # Every producer of a point gives the plain tuple of its values.
+    want = reference_sample(space, make_rng(7))
+    made = (sample_uniform(space, make_rng(7)), space.make_point(space.as_mapping(want)),
+            nearest_point(space, encode(space, want)),
+            make_solver("randomsearch", space, R=1, seed=7).suggest())
+    for point in made:
+        assert type(point) is tuple and point == want
     for n in (0, 1, 25):
         log = _sampled_log(space, n, seed=n + 11)
         path = write_run_log(log, space, tmp_path / f"{n}.csv")
         assert path.read_text(encoding="utf-8") == reference_csv_text(log, space)
         back, _ = read_run_log(path)
         assert list(back.records) == reference_read(path)
+        assert all(type(point) is tuple for point in back.points)
+        assert back.points == tuple(rec.point for rec in reference_read(path))
         assert back.records == log.records
         for got, want in zip(back.records, log.records):
-            assert [type(v) for v in got.point.values] == [type(v) for v in want.point.values]
-            assert space.activity(got.point.values) == space.activity(want.point.values)
+            assert [type(v) for v in got.point] == [type(v) for v in want.point]
+            assert space.activity(got.point) == space.activity(want.point)
 
 
 def test_problem_logs_round_trip_byte_for_byte(tmp_path):
@@ -272,7 +282,7 @@ def test_esp_objective_equals_the_window_loop(shape):
             assert repr(got) == repr(reference_esp_objective(problem, options))
         point = sample_uniform(problem.space, rng)
         assert repr(problem.evaluate(point)[0]) == repr(
-            reference_esp_objective(problem, [int(v) for v in point.values]))
+            reference_esp_objective(problem, [int(v) for v in point]))
 
 
 def test_esp_all_zero_total_is_positive_zero():

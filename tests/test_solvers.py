@@ -135,7 +135,7 @@ class TestLoopContracts:
         for _ in range(2):
             solver = make_solver(kind, problem.space, R=4, seed=77)
             drive(solver, problem, 10)
-            runs.append([pt.values for pt, _ in solver.history])
+            runs.append([pt for pt, _ in solver.history])
         assert runs[0] == runs[1]
 
     def test_incumbent_is_the_cached_encoded_row(self):
@@ -161,13 +161,13 @@ class TestGpUcbAcquisition:
             fn = lambda v: np.sin(5.0 * v) + 0.5 * v
             for _ in range(2):
                 pt = solver.suggest()
-                solver.observe(pt, fn(pt.values[0]))
+                solver.observe(pt, fn(pt[0]))
             suggestion = solver.suggest()
             grid = np.linspace(0.0, 1.0, 10_001).reshape(-1, 1)
             mean, var = solver.model.predict_variance_encoded(grid)
             scores = ucb_score(mean + solver._offset, var, solver.beta)
             best = grid[int(np.argmax(scores)), 0]
-            got = suggestion.values[0]
+            got = suggestion[0]
             assert abs(got - best) <= 1e-3
             boundary = ucb_score(*solver.model.predict_variance_encoded(
                 np.array([[got]])), solver.beta)
@@ -454,8 +454,8 @@ class TestAdapters:
         pt = solver.suggest()
         solver.observe(pt, 0.0)
         pt = solver.suggest()
-        assert pt.values[0] == 3
-        assert pt.values[1] == "h"
+        assert pt[0] == 3
+        assert pt[1] == "h"
 
     def test_adapted_gp_produces_only_valid_points_on_esp(self):
         problem = esp_proxy(n_slots=6, n_options=4, window=3, seed=2)

@@ -4,7 +4,6 @@ import pytest
 
 from sbobench.core import (
     Condition,
-    Point,
     SearchSpace,
     VariableSpec,
     validate_point,
@@ -92,7 +91,7 @@ class TestSearchSpace:
         )
         pt = space.make_point({"p": "b", "q": "u", "x": 0.5})
         # q is inactive because p != a, so x is inactive too.
-        assert space.activity(pt.values) == (True, False, False)
+        assert space.activity(pt) == (True, False, False)
 
 
 class TestValidatePoint:
@@ -112,40 +111,40 @@ class TestValidatePoint:
     def test_conditional_active_iff_parent_matches(self, mixed_space):
         on = mixed_space.make_point({"alg": "b", "x": 0.5, "k": 2, "gamma": 3.0})
         off = mixed_space.make_point({"alg": "a", "x": 0.5, "k": 2, "gamma": 3.0})
-        assert mixed_space.activity(on.values)[mixed_space.index("gamma")] is True
-        assert mixed_space.activity(off.values)[mixed_space.index("gamma")] is False
+        assert mixed_space.activity(on)[mixed_space.index("gamma")] is True
+        assert mixed_space.activity(off)[mixed_space.index("gamma")] is False
         assert validate_point(mixed_space, on) is None
         assert validate_point(mixed_space, off) is None
 
     def test_inactive_variables_still_carry_values(self, mixed_space):
         pt = mixed_space.make_point({"alg": "a", "x": 0.5, "k": 2, "gamma": 7.25})
-        assert pt.values[mixed_space.index("gamma")] == 7.25
+        assert pt[mixed_space.index("gamma")] == 7.25
 
     def test_bad_category_is_reported(self, mixed_space):
-        pt = Point(values=("z", 0.5, 2, 1.0))
+        pt = ("z", 0.5, 2, 1.0)
         msg = validate_point(mixed_space, pt)
         assert msg == "alg is not a valid category"
 
     def test_wrong_arity_is_reported(self, box_space):
-        pt = Point(values=(0.5,))
+        pt = (0.5,)
         assert "values" in validate_point(box_space, pt)
 
     def test_non_integer_value_for_integer_variable(self, mixed_space):
-        pt = Point(values=("a", 0.5, 2.5, 1.0))
+        pt = ("a", 0.5, 2.5, 1.0)
         assert validate_point(mixed_space, pt) == "k is not an integer"
 
     def test_continuous_int_too_large_for_a_float_is_out_of_bounds(self, box_space):
-        pt = Point(values=(10**400, 0.0))
+        pt = (10**400, 0.0)
         assert validate_point(box_space, pt) == "x out of bounds"
-        below = Point(values=(0.5, -(10**400)))
+        below = (0.5, -(10**400))
         assert validate_point(box_space, below) == "y out of bounds"
 
     def test_continuous_int_bounds_are_compared_exactly(self):
         space = SearchSpace((VariableSpec("x", "continuous", lower=0.0, upper=2.0**53),))
-        assert validate_point(space, Point(values=(2**53,))) is None
-        assert validate_point(space, Point(values=(2**53 + 1,))) == "x out of bounds"
+        assert validate_point(space, (2**53,)) is None
+        assert validate_point(space, (2**53 + 1,)) == "x out of bounds"
 
     def test_non_finite_and_non_numeric_continuous_values(self, box_space):
         for bad in (float("nan"), float("inf"), True, "0.5", None):
-            pt = Point(values=(bad, 0.0))
+            pt = (bad, 0.0)
             assert validate_point(box_space, pt) == "x is not a finite number"
