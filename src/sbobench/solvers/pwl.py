@@ -32,6 +32,9 @@ class PwlSolver(Solver):
         self.ridge = float(ridge)
         self.sweeps = int(sweeps)
         self.grid = int(grid)
+        # each coordinate's grid, plus a last slot for its current value
+        self._columns = [np.append(self._coordinate_grid(j), 0.0)
+                         for j in range(len(self._lo))]
 
     def _refit(self) -> None:
         self.model = fit_least_squares(
@@ -48,15 +51,15 @@ class PwlSolver(Solver):
     def _coordinate_descent(self, x: np.ndarray) -> np.ndarray:
         """Walk the coordinates in turn, each to its best grid value.  The
         hinge phases ``A = x W' + b`` are formed once; moving coordinate
-        ``j`` by ``delta`` gives ``A + delta W[:, j]``."""
+        ``j`` by ``delta`` gives ``A + delta W[:, j]``, taken from one
+        contiguous copy of ``W'``."""
         x = x.copy()
-        W = self.model.W
+        WT = self.model.W.T.copy()
         phases = self.model.phases(x)[0]
         for _ in range(self.sweeps):
-            for j in range(len(x)):
-                # the last entry keeps the current value
-                column = np.append(self._coordinate_grid(j), x[j])
-                trial_phases = phases + np.outer(column - x[j], W[:, j])
+            for j, column in enumerate(self._columns):
+                column[-1] = x[j]  # the last entry keeps the current value
+                trial_phases = phases + (column - x[j])[:, None] * WT[j]
                 best = int(np.argmin(self.model.phase_values(trial_phases)))
                 x[j], phases = column[best], trial_phases[best]
         return x

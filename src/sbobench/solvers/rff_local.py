@@ -50,41 +50,52 @@ class RffLocalSolver(Solver):
 
     def _descend(self, starts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Descend from every start at once, each inside its trust box;
-        return the end points and the steps each start took.  Each step
-        forms phases, values and slopes only for the starts still
-        descending; slopes only for those whose trial was accepted."""
+        return the end points and the steps each start took.
+
+        The starts still descending keep their point, step, trust box,
+        value and weighted slopes ``coefficients[1:] * phase_slopes`` in
+        compact arrays, so a step is one gradient product with ``W`` and
+        one batch of trial phases; the slopes are formed only for the
+        accepted trials, and the arrays are compressed only when a start
+        stops."""
         model = self.model
+        weights = model.coefficients[1:]
         radius = self.jitter_scale * (self._hi - self._lo)
         lower = np.maximum(self._lo, starts - radius)
         upper = np.minimum(self._hi, starts + radius)
         tol = STOP_FRACTION * np.max(radius)
+        ends = starts.copy()
+        steps = np.zeros(len(starts), dtype=int)
         x = starts.copy()
         step = np.full(len(x), np.max(radius))
-        steps = np.zeros(len(x), dtype=int)
         phases = model.phases(x)
         value = model.phase_values(phases)
-        slopes = model.phase_slopes(phases)
-        active = np.arange(len(x))
+        weighted = weights * model.phase_slopes(phases)
+        index = np.arange(len(x))
         for _ in range(self.descent_steps):
-            if not len(active):
+            if not len(index):
                 break
-            grad = model.slope_gradient(slopes[active])
+            grad = weighted @ model.W
             norm = np.linalg.norm(grad, axis=1, keepdims=True)
             norm[norm == 0] = 1.0
-            trial = np.clip(x[active] - step[active, None] * grad / norm,
-                            lower[active], upper[active])
+            trial = np.clip(x - step[:, None] * grad / norm, lower, upper)
             trial_phases = model.phases(trial)
             trial_value = model.phase_values(trial_phases)
-            move = np.max(np.abs(trial - x[active]), axis=1)
-            better = trial_value < value[active]
-            accepted = active[better]
-            x[accepted] = trial[better]
-            value[accepted] = trial_value[better]
-            slopes[accepted] = model.phase_slopes(trial_phases[better])
-            step[active] = np.where(better, step[active] * 1.1, step[active] * 0.5)
-            steps[active] += 1
-            active = active[(step[active] > tol) & (move > tol)]
-        return x, steps
+            move = np.max(np.abs(trial - x), axis=1)
+            better = trial_value < value
+            if better.any():
+                x[better] = trial[better]
+                value[better] = trial_value[better]
+                weighted[better] = weights * model.phase_slopes(trial_phases[better])
+            step = np.where(better, step * 1.1, step * 0.5)
+            steps[index] += 1
+            going = (step > tol) & (move > tol)
+            if not going.all():
+                ends[index] = x
+                x, step, lower, upper, value, weighted, index = (
+                    a[going] for a in (x, step, lower, upper, value, weighted, index))
+        ends[index] = x
+        return ends, steps
 
     def _acquire(self):
         span = self._hi - self._lo

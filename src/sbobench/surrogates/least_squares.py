@@ -76,9 +76,15 @@ class LeastSquaresModel(SurrogateModel):
         return np.atleast_2d(np.asarray(X, dtype=float)) @ self.W.T + self.b
 
     def _phase_features(self, A: np.ndarray) -> np.ndarray:
-        """Design rows (constant column, then the basis) at phases ``A``."""
-        basis = np.maximum(A, 0.0) if self.family == "piecewise_linear" else np.cos(A)
-        return np.hstack([np.ones((A.shape[0], 1)), basis])
+        """Design rows at phases ``A``: one (m, p + 1) array holding the
+        constant column, then the basis written in place."""
+        F = np.empty((A.shape[0], A.shape[1] + 1))
+        F[:, 0] = 1.0
+        if self.family == "piecewise_linear":
+            np.maximum(A, 0.0, out=F[:, 1:])
+        else:
+            np.cos(A, out=F[:, 1:])
+        return F
 
     def phase_values(self, A: np.ndarray) -> np.ndarray:
         """Predictions at phases ``A``."""

@@ -114,15 +114,17 @@ class TreeStack:
     def __init__(self, trees):
         sizes = np.array([t.n_nodes for t in trees], dtype=int)
         offsets = np.cumsum(sizes) - sizes
+        shift = np.repeat(offsets, sizes)  # each node's tree offset
 
-        def joined(name, shift=False):
-            parts = [getattr(t, name) for t in trees]
-            if shift:  # child indices move with their tree; LEAF stays LEAF
-                parts = [np.where(p == LEAF, LEAF, p + o) for p, o in zip(parts, offsets)]
-            return np.concatenate(parts) if parts else ()
+        def joined(name):
+            return np.concatenate([getattr(t, name) for t in trees]) if trees else np.zeros(0, int)
+
+        def shifted(name):  # child indices move with their tree; LEAF stays LEAF
+            children = joined(name)
+            return np.where(children == LEAF, LEAF, children + shift)
 
         self.nodes = RegressionTree(joined("feature"), joined("threshold"),
-                                    joined("left", True), joined("right", True), joined("value"))
+                                    shifted("left"), shifted("right"), joined("value"))
         self.roots = offsets
 
     def predict(self, X) -> np.ndarray:

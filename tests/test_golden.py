@@ -1,7 +1,7 @@
-"""Golden outputs: every file four virtual-time CLI configurations write, by sha256.
+"""Golden outputs: every file five virtual-time CLI configurations write, by sha256.
 
 The runner promises byte-identical virtual-time logs on rerun.  This
-test reruns four configurations, runs README's analysis pipeline over
+test reruns five configurations, runs README's analysis pipeline over
 the ``criterion-10`` logs (curves, replay grid, rules tree and one
 offline fit), and compares each file written with the digest in
 ``golden_manifest.json``, naming every differing, missing or extra
@@ -52,6 +52,8 @@ CONFIGURATIONS = {
                         "hpo-proxy.noise_sigma=0.05"],
     "windwake-toy": ["--max-eval=30", "--rand-evals-all=10", "--seed=3", "--virtual-time",
                      "windwake-toy", "randomsearch", "pwl-low"],
+    "hpo-proxy-models": ["--max-eval=30", "--rand-evals-all=10", "--seed=4", "--virtual-time",
+                         "hpo-proxy", "pwl-high", "rff-local"],
     "criterion-10": ["--repetitions=2", "--max-eval=50", "--rand-evals-all=10", "--seed=3",
                      "--virtual-time", "esp-proxy", "randomsearch", "gp-ucb"],
 }

@@ -400,6 +400,44 @@ class TestGpUcbRefit:
             assert solver.model.L.tobytes() == ref.L.tobytes()
 
 
+def _reference_coordinate_descent(solver, x):
+    """pwl's coordinate descent written out: every coordinate's grid with
+    the current value appended, the trial phases by ``np.outer`` and the
+    predictions through hstacked hinge design rows."""
+    model = solver.model
+    W, b, c = model.W, model.b, model.coefficients
+    x = x.copy()
+    phases = (np.atleast_2d(x) @ W.T + b)[0]
+    for _ in range(solver.sweeps):
+        for j, variable in enumerate(solver.space.variables):
+            if variable.kind == "continuous":
+                grid = np.linspace(solver._lo[j], solver._hi[j], solver.grid)
+            else:
+                grid = np.arange(solver._lo[j], solver._hi[j] + 1.0)
+            column = np.append(grid, x[j])
+            trial_phases = phases + np.outer(column - x[j], W[:, j])
+            design = np.hstack([np.ones((len(column), 1)), np.maximum(trial_phases, 0.0)])
+            best = int(np.argmin(design @ c))
+            x[j], phases = column[best], trial_phases[best]
+    return x
+
+
+class TestPwlCoordinateDescent:
+    @pytest.mark.parametrize("make_problem", [lambda: pipe_proxy(d=10),
+                                              lambda: hpo_proxy(seed=0)],
+                             ids=["pipe-proxy-10", "hpo-proxy"])
+    def test_descent_equals_reference_loop(self, make_problem):
+        problem = make_problem()
+        solver = drive(make_solver("pwl-high", problem.space, R=10, seed=5), problem, 12)
+        rng = make_rng(8)
+        starts = [solver._incumbent_encoded()]
+        starts += list(rng.uniform(solver._lo, solver._hi, size=(5, len(solver._lo))))
+        for start in starts:
+            got = solver._coordinate_descent(start)
+            assert got.tobytes() == _reference_coordinate_descent(solver, start).tobytes()
+            assert not np.array_equal(got, start)
+
+
 class TestPwlPair:
     def test_identical_models_on_identical_transcripts(self):
         problem = pipe_proxy(d=4)

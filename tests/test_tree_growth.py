@@ -334,3 +334,19 @@ def test_stacked_routing_equals_per_tree_prediction():
     assert var.tobytes() == per_tree.var(axis=0).tobytes()
     assert model.predict_encoded(Q).tobytes() == mean.tobytes()
     assert TreeStack([]).predict(Q).shape == (0, 512)
+
+
+def test_stacked_routing_keeps_bare_leaf_trees():
+    rng = make_rng(10)
+    X, y = rng.uniform(size=(40, 3)), rng.normal(size=40)
+    forest = fit_forest(_space(3), X, y, n_trees=6, seed=4).trees
+    bare = [RegressionTree([LEAF], [0.0], [LEAF], [LEAF], [v]) for v in (1.5, -2.0, 0.25)]
+    stack_trees = [bare[0], *forest[:3], bare[1], *forest[3:], bare[2]]
+    stack = TreeStack(stack_trees)
+    for k in (0, 4, len(stack_trees) - 1):
+        root = stack.roots[k]
+        assert stack.nodes.left[root] == LEAF and stack.nodes.right[root] == LEAF
+    Q = rng.uniform(-0.2, 1.2, size=(64, 3))
+    per_tree = np.stack([t.predict(Q) for t in stack_trees], axis=0)
+    stacked = stack.predict(Q)
+    assert stacked.dtype == per_tree.dtype and stacked.tobytes() == per_tree.tobytes()
