@@ -3,6 +3,8 @@
 from dataclasses import dataclass, field
 from typing import Mapping
 
+from ..solvers import canonical_kind
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -31,6 +33,13 @@ class ExperimentConfig:
         object.__setattr__(self, "solvers", tuple(self.solvers))
         if not self.solvers:
             raise ValueError("at least one solver is required")
+        seen = set()
+        for token in self.solvers:
+            kind = canonical_kind(token)
+            if kind in seen:
+                alias = f" ({token!r} is an alias of it)" if token != kind else ""
+                raise ValueError(f"solver {kind!r} is given more than once{alias}")
+            seen.add(kind)
         if self.repetitions < 1:
             raise ValueError("repetitions must be at least 1")
         if self.max_eval < 1:

@@ -1,12 +1,6 @@
 """Surrogate models over encoded points."""
 
-from sbobench.surrogates.base import (
-    FitError,
-    SurrogateModel,
-    load_model,
-    mae,
-    register_family,
-)
+from sbobench.surrogates.base import FitError, SurrogateModel, mae
 from sbobench.surrogates.blas import limit_blas_threads
 from sbobench.surrogates.boosted import BoostedTreesModel, fit_boosted
 from sbobench.surrogates.encoding import (
@@ -46,11 +40,9 @@ __all__ = [
     "fit_forest",
     "fit_gp",
     "fit_least_squares",
-    "load_model",
     "mae",
     "matern52",
     "nearest_point",
-    "register_family",
 ]
 
 limit_blas_threads()

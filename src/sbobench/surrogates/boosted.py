@@ -3,22 +3,20 @@
 import numpy as np
 
 from sbobench.core.space import SearchSpace
-from sbobench.surrogates.base import SurrogateModel, register_family
-from sbobench.surrogates.trees import RegressionTree, TreeStack, build_regression_tree
+from sbobench.surrogates.base import SurrogateModel
+from sbobench.surrogates.trees import TreeStack, build_regression_tree
 
 
 class BoostedTreesModel(SurrogateModel):
     family = "boosted_trees"
 
-    def __init__(self, space, base_value: float, trees, learning_rate: float,
-                 train_losses=None):
-        super().__init__(space)
+    def __init__(self, base_value: float, trees, learning_rate: float, train_losses):
         self.base_value = float(base_value)
         self.trees = list(trees)
         self.learning_rate = float(learning_rate)
         self._stack = TreeStack(self.trees)
         # Mean squared training loss after each round (round 0 = mean only).
-        self.train_losses = list(train_losses) if train_losses is not None else []
+        self.train_losses = list(train_losses)
 
     def predict_encoded(self, X: np.ndarray) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -26,26 +24,6 @@ class BoostedTreesModel(SurrogateModel):
         for contribution in self._stack.predict(X):  # in tree order
             out += self.learning_rate * contribution
         return out
-
-    def to_jsonable(self) -> dict:
-        return {
-            "base_value": self.base_value,
-            "learning_rate": self.learning_rate,
-            "trees": [t.to_jsonable() for t in self.trees],
-            "train_losses": self.train_losses,
-        }
-
-
-register_family(
-    "boosted_trees",
-    lambda space, payload: BoostedTreesModel(
-        space,
-        payload["base_value"],
-        [RegressionTree.from_jsonable(t) for t in payload["trees"]],
-        payload["learning_rate"],
-        payload.get("train_losses"),
-    ),
-)
 
 
 def fit_boosted(
@@ -77,4 +55,4 @@ def fit_boosted(
         residual = residual - learning_rate * tree.predict(X)
         trees.append(tree)
         losses.append(float(np.mean(residual**2)))
-    return BoostedTreesModel(space, base, trees, learning_rate, train_losses=losses)
+    return BoostedTreesModel(base, trees, learning_rate, losses)

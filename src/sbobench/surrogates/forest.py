@@ -4,7 +4,7 @@ import numpy as np
 
 from sbobench.core.rng import make_rng
 from sbobench.core.space import SearchSpace
-from sbobench.surrogates.base import SurrogateModel, register_family
+from sbobench.surrogates.base import SurrogateModel
 from sbobench.surrogates.trees import RegressionTree, TreeStack, build_regression_trees
 
 
@@ -13,11 +13,8 @@ class RandomForestModel(SurrogateModel):
 
     family = "random_forest"
 
-    def __init__(self, space, trees: list[RegressionTree], min_leaf: int, seed: int):
-        super().__init__(space)
+    def __init__(self, trees: list[RegressionTree]):
         self.trees = trees
-        self.min_leaf = min_leaf
-        self.seed = seed
         self._stack = TreeStack(trees)
 
     def _tree_matrix(self, X: np.ndarray) -> np.ndarray:
@@ -29,24 +26,6 @@ class RandomForestModel(SurrogateModel):
     def predict_variance_encoded(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         preds = self._tree_matrix(X)
         return preds.mean(axis=0), preds.var(axis=0)
-
-    def to_jsonable(self) -> dict:
-        return {
-            "min_leaf": self.min_leaf,
-            "seed": self.seed,
-            "trees": [t.to_jsonable() for t in self.trees],
-        }
-
-
-register_family(
-    "random_forest",
-    lambda space, payload: RandomForestModel(
-        space,
-        [RegressionTree.from_jsonable(t) for t in payload["trees"]],
-        payload["min_leaf"],
-        payload["seed"],
-    ),
-)
 
 
 def fit_forest(
@@ -73,4 +52,4 @@ def fit_forest(
     n = len(X)
     roots = [np.arange(n)] + [rng.integers(0, n, size=n) for _ in range(n_trees - 1)]
     trees = build_regression_trees(X, y, roots, min_leaf=min_leaf)
-    return RandomForestModel(space, trees, min_leaf, seed)
+    return RandomForestModel(trees)

@@ -27,7 +27,7 @@ from scipy.linalg import cho_solve, cholesky, solve_triangular
 
 from sbobench.core.rng import make_rng
 from sbobench.core.space import SearchSpace
-from sbobench.surrogates.base import FitError, SurrogateModel, register_family
+from sbobench.surrogates.base import FitError, SurrogateModel
 from sbobench.surrogates.encoding import encoded_bounds
 
 _SQRT5 = math.sqrt(5.0)
@@ -94,19 +94,13 @@ def _factorize(K: np.ndarray) -> tuple[np.ndarray, float]:
 class GaussianProcessModel(SurrogateModel):
     family = "gaussian_process"
 
-    def __init__(self, space, params: MaternParams, X, y, jitter: float = 0.0):
-        super().__init__(space)
+    def __init__(self, params: MaternParams, X, y):
         self.params = params
         self.X = np.asarray(X, dtype=float)
         self.y = np.asarray(y, dtype=float)
         K = params.signal_var * matern52(_pairwise_dists(self.X, self.X), params.lengthscale)
         K[np.diag_indices_from(K)] += params.noise_var
-        self.L, ladder_jitter = _factorize(K)
-        self.jitter = max(jitter, ladder_jitter)
-        if jitter > ladder_jitter:
-            self.L = cholesky(
-                K + jitter * np.eye(K.shape[0]), lower=True, check_finite=False
-            )
+        self.L, self.jitter = _factorize(K)
         self.alpha = cho_solve((self.L, True), self.y, check_finite=False)
 
     def _cross(self, X: np.ndarray) -> np.ndarray:
@@ -131,28 +125,6 @@ class GaussianProcessModel(SurrogateModel):
             - np.sum(np.log(np.diag(self.L)))
             - 0.5 * n * math.log(2.0 * math.pi)
         )
-
-    def to_jsonable(self) -> dict:
-        return {
-            "lengthscale": self.params.lengthscale,
-            "signal_var": self.params.signal_var,
-            "noise_var": self.params.noise_var,
-            "jitter": self.jitter,
-            "X": self.X.tolist(),
-            "y": self.y.tolist(),
-        }
-
-
-register_family(
-    "gaussian_process",
-    lambda space, payload: GaussianProcessModel(
-        space,
-        MaternParams(payload["lengthscale"], payload["signal_var"], payload["noise_var"]),
-        np.asarray(payload["X"]),
-        np.asarray(payload["y"]),
-        jitter=payload.get("jitter", 0.0),
-    ),
-)
 
 
 def _lml(dists, y, theta):
@@ -282,4 +254,4 @@ def fit_gp(
             _pairwise_dists(X, X), y, _box_diagonal(space), init=params,
             multistarts=multistarts, steps=steps, seed=seed,
         )
-    return GaussianProcessModel(space, params, X, y)
+    return GaussianProcessModel(params, X, y)

@@ -23,7 +23,7 @@ from scipy.linalg import cho_factor, cho_solve
 
 from sbobench.core.rng import make_rng
 from sbobench.core.space import SearchSpace
-from sbobench.surrogates.base import FitError, SurrogateModel, register_family
+from sbobench.surrogates.base import FitError, SurrogateModel
 from sbobench.surrogates.encoding import encoded_bounds
 
 FAMILIES = ("linear", "quadratic", "piecewise_linear", "random_fourier")
@@ -59,8 +59,7 @@ def _draw_fourier_basis(space: SearchSpace, n_basis: int, rng) -> tuple[np.ndarr
 class LeastSquaresModel(SurrogateModel):
     """Fitted basis expansion; ``coefficients[0]`` is the constant term."""
 
-    def __init__(self, space, family, coefficients, W=None, b=None, ridge=0.0):
-        super().__init__(space)
+    def __init__(self, family, coefficients, W=None, b=None, ridge=0.0):
         self.family = family
         self.coefficients = np.asarray(coefficients, dtype=float)
         self.W = None if W is None else np.asarray(W, dtype=float)
@@ -126,34 +125,6 @@ class LeastSquaresModel(SurrogateModel):
             grad = self.slope_gradient(self.phase_slopes(self.phases(X)))
         return grad if np.ndim(x) == 2 else grad[0]
 
-    def to_jsonable(self) -> dict:
-        out = {
-            "coefficients": self.coefficients.tolist(),
-            "ridge": self.ridge,
-        }
-        if self.W is not None:
-            out["W"] = self.W.tolist()
-            out["b"] = self.b.tolist()
-        return out
-
-
-def _load_least_squares(family):
-    def load(space, payload):
-        return LeastSquaresModel(
-            space,
-            family,
-            payload["coefficients"],
-            W=payload.get("W"),
-            b=payload.get("b"),
-            ridge=payload.get("ridge", 0.0),
-        )
-
-    return load
-
-
-for _family in FAMILIES:
-    register_family(_family, _load_least_squares(_family))
-
 
 def fit_least_squares(
     space: SearchSpace,
@@ -187,7 +158,7 @@ def fit_least_squares(
         draw = _draw_hinge_basis if family == "piecewise_linear" else _draw_fourier_basis
         W, b = draw(space, n_basis, rng)
 
-    model = LeastSquaresModel(space, family, np.zeros(1), W=W, b=b, ridge=ridge)
+    model = LeastSquaresModel(family, np.zeros(1), W=W, b=b, ridge=ridge)
     phi = model.features(X)
     dual = ridge > 0 and phi.shape[0] < phi.shape[1]
     if dual:

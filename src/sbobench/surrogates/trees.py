@@ -3,7 +3,7 @@ forest and boosting models and the Gini classifier of ``analysis.rules``.
 
 Splits are axis-aligned at midpoints between consecutive distinct values;
 ties go to the lowest feature, then the lowest threshold, so a tree is a
-pure function of its inputs.  Flat node arrays keep serialisation trivial.
+pure function of its inputs.
 
 Trees grow one level at a time: every pending node of every tree being
 grown is scanned in a few batched passes, and the nodes are numbered
@@ -99,13 +99,6 @@ class RegressionTree(NodeArrays):
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         return self.value[self.apply(X)]
-
-    def to_jsonable(self) -> dict:
-        return {name: getattr(self, name).tolist() for name, _ in self._DTYPES}
-
-    @classmethod
-    def from_jsonable(cls, payload: dict) -> "RegressionTree":
-        return cls(*(payload[name] for name, _ in cls._DTYPES))
 
 
 class TreeStack:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from sbobench.core import SearchSpace, VariableSpec, make_rng, sample_uniform
-from sbobench.surrogates import fit_boosted, load_model, mae
+from sbobench.surrogates import fit_boosted, mae
 from sbobench.surrogates.encoding import encode_points
 
 
@@ -67,14 +67,6 @@ def test_learning_rate_validation(interval):
         fit_boosted(interval, X, y, n_rounds=-1)
     with pytest.raises(ValueError):
         fit_boosted(interval, X[:1], y[:1])
-
-
-def test_round_trip_serialisation(interval, tmp_path):
-    _, X, y = _dataset(interval, 40, 6, lambda X: np.cos(5 * X[:, 0]))
-    model = fit_boosted(interval, X, y, n_rounds=30, max_depth=4)
-    model.save(tmp_path / "boosted.json")
-    back = load_model(tmp_path / "boosted.json")
-    np.testing.assert_array_equal(model.predict_encoded(X), back.predict_encoded(X))
 
 
 def test_mae_helper_oracle(interval):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from sbobench.core import SearchSpace, VariableSpec, make_rng, sample_uniform
-from sbobench.surrogates import fit_forest, load_model, mae
+from sbobench.surrogates import fit_forest, mae
 from sbobench.surrogates.encoding import encode_points
 from sbobench.surrogates.trees import RegressionTree, build_regression_tree
 
@@ -41,21 +41,20 @@ class TestRegressionTree:
         assert tree.n_nodes == 1
         np.testing.assert_array_equal(tree.predict(X), y)
 
-    def test_depth_first_node_order_still_loads(self):
-        # Trees saved by the earlier depth-first builder list nodes in that
-        # order; routing and depth do not depend on the order of the arrays.
-        tree = RegressionTree.from_jsonable({
-            "feature": [0, 1, -1, -1, -1],
-            "threshold": [0.5, 0.3, 0.0, 0.0, 0.0],
-            "left": [1, 2, -1, -1, -1],
-            "right": [4, 3, -1, -1, -1],
-            "value": [0.0, 0.0, 1.0, 2.0, 3.0],
-        })
+    def test_depth_first_node_order_routes_the_same(self):
+        # Nodes numbered depth-first, not in the builder's best-first order:
+        # routing and depth do not depend on the order of the arrays.
+        tree = RegressionTree(
+            feature=[0, 1, -1, -1, -1],
+            threshold=[0.5, 0.3, 0.0, 0.0, 0.0],
+            left=[1, 2, -1, -1, -1],
+            right=[4, 3, -1, -1, -1],
+            value=[0.0, 0.0, 1.0, 2.0, 3.0],
+        )
         X = np.array([[0.1, 0.1], [0.1, 0.9], [0.9, 0.1], [0.5, 0.3]])
         np.testing.assert_array_equal(tree.predict(X), [1.0, 2.0, 3.0, 1.0])
         np.testing.assert_array_equal(tree.apply(X), [2, 3, 4, 2])
         assert (tree.depth(), tree.n_leaves) == (2, 3)
-        assert RegressionTree.from_jsonable(tree.to_jsonable()).to_jsonable() == tree.to_jsonable()
 
     def test_depth_cap_limits_tree(self):
         rng = make_rng(1)
@@ -121,13 +120,3 @@ class TestForest:
         far = [sample_uniform(square, rng) for _ in range(100)]
         _, var = model.predict_variance_encoded(encode_points(square, far))
         assert var.max() > 0.0
-
-    def test_round_trip_serialisation(self, square, tmp_path):
-        _, X, y = _dataset(square, 20, 8, lambda X: X[:, 0] - X[:, 1])
-        model = fit_forest(square, X, y, n_trees=6, seed=4)
-        model.save(tmp_path / "forest.json")
-        back = load_model(tmp_path / "forest.json")
-        np.testing.assert_array_equal(model.predict_encoded(X), back.predict_encoded(X))
-        m1, v1 = model.predict_variance_encoded(X)
-        m2, v2 = back.predict_variance_encoded(X)
-        np.testing.assert_array_equal(v1, v2)

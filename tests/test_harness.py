@@ -298,6 +298,11 @@ class TestCliParsing:
         with pytest.raises(UsageError, match="not part of this experiment"):
             parse_args("pipe-proxy randomsearch gp-ucb.beta=1.0".split())
 
+    @pytest.mark.parametrize("repeat", ("randomsearch", "random_search"))
+    def test_repeated_solver_is_usage_error(self, repeat):
+        with pytest.raises(UsageError, match="'randomsearch' is given more than once"):
+            parse_args(["sphere", "randomsearch", repeat])
+
 
 class TestCliMain:
     def test_success_exit_zero_and_paths_printed(self, tmp_path, capsys):
@@ -318,6 +323,14 @@ class TestCliMain:
     def test_bad_flag_exit_two(self, capsys):
         assert main(["--max-eval=not-a-number", "pipe-proxy",
                      "randomsearch"]) == 2
+
+    @pytest.mark.parametrize("repeat", ("randomsearch", "random_search"))
+    def test_repeated_solver_exit_two_and_no_file(self, tmp_path, capsys, repeat):
+        code = main(["--max-eval=5", "--rand-evals-all=2", "--virtual-time",
+                     f"--out-path={tmp_path}", "sphere", "randomsearch", repeat])
+        assert code == 2
+        assert "'randomsearch' is given more than once" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_abort_exit_one(self, tmp_path, capsys):
         class Exploding(Problem):

@@ -5,7 +5,7 @@ import pytest
 
 from sbobench.core import SearchSpace, VariableSpec, make_rng, sample_uniform
 from sbobench.problems import make_problem
-from sbobench.surrogates import FitError, fit_least_squares, load_model, mae
+from sbobench.surrogates import FitError, fit_least_squares, mae
 from sbobench.surrogates import least_squares
 from sbobench.surrogates.encoding import encode_points, encoded_bounds
 from sbobench.surrogates.least_squares import FAMILIES
@@ -234,16 +234,6 @@ class TestGradients:
             step[i] = eps
             fd = (model.predict_encoded(X + step) - model.predict_encoded(X - step)) / (2 * eps)
             np.testing.assert_allclose(grads[:, i], fd, rtol=0, atol=1e-5)
-
-
-def test_round_trip_serialisation(box_space, tmp_path):
-    queries, y = _line_data_2d(box_space)
-    for family in FAMILIES:
-        model = fit_least_squares(box_space, queries, y, family=family, n_basis=16, seed=1)
-        path = tmp_path / f"{family}.json"
-        model.save(path)
-        back = load_model(path)
-        np.testing.assert_array_equal(model.predict_encoded(queries), back.predict_encoded(queries))
 
 
 def test_unknown_family_rejected(box_space):

@@ -375,7 +375,7 @@ def _reference_gp_refit(solver, params):
             multistarts=solver.multistarts, steps=solver.steps,
             seed=derive_seed(solver.seed, "hyperopt", n),
         )
-    return GaussianProcessModel(solver.space, params, X, y - offset)
+    return GaussianProcessModel(params, X, y - offset)
 
 
 class TestGpUcbRefit:

@@ -10,7 +10,6 @@ must give exactly the per-tree predictions.
 """
 
 import heapq
-import json
 import tracemalloc
 
 import numpy as np
@@ -19,7 +18,7 @@ import pytest
 from sbobench.analysis import rules
 from sbobench.core import SearchSpace, VariableSpec, make_rng, sample_uniform
 from sbobench.problems import esp_proxy
-from sbobench.surrogates import BoostedTreesModel, RandomForestModel, fit_boosted, fit_forest
+from sbobench.surrogates import BoostedTreesModel, fit_boosted, fit_forest
 from sbobench.surrogates import trees
 from sbobench.surrogates.encoding import encode_points
 from sbobench.surrogates.trees import (LEAF, RegressionTree, TreeStack, build_regression_tree,
@@ -200,8 +199,6 @@ def test_forest_matches_tree_by_tree_growth(kind, d):
         assert len(model.trees) == n_trees
         for tree, ref in zip(model.trees, reference):
             assert_same_nodes(tree, ref)
-        want = RandomForestModel(model.space, reference, min_leaf, case)
-        assert json.dumps(model.to_jsonable()) == json.dumps(want.to_jsonable())
 
 
 def test_forest_bootstrap_duplicates_and_constant_targets():
@@ -233,11 +230,12 @@ def test_boosted_matches_heap_grower(d):
         max_depth = int(rng.integers(1, 7))
         model = fit_boosted(_space(d), X, y, n_rounds=8, learning_rate=0.3, max_depth=max_depth)
         trees, losses = _ref_boosted(X, y, 8, 0.3, max_depth)
+        assert len(model.trees) == len(trees)
         for tree, ref in zip(model.trees, trees):
             assert_same_nodes(tree, ref)
         assert model.train_losses == losses
-        want = BoostedTreesModel(model.space, float(y.mean()), trees, 0.3, losses)
-        assert json.dumps(model.to_jsonable()) == json.dumps(want.to_jsonable())
+        assert (model.base_value, model.learning_rate) == (float(y.mean()), 0.3)
+        want = BoostedTreesModel(float(y.mean()), trees, 0.3, losses)
         Q = rng.uniform(-1.5, 1.5, size=(50, d))
         assert model.predict_encoded(Q).tobytes() == want.predict_encoded(Q).tobytes()
 
