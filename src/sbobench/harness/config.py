@@ -12,8 +12,11 @@ class ExperimentConfig:
 
     ``budget_seconds`` switches the stop rule from evaluation counting
     to a wall-clock (or, with ``virtual_time``, simulated) budget; the
-    evaluation-count cap still applies as a ceiling.  ``overrides`` maps
-    a solver kind (or the problem token) to parameter overrides.
+    evaluation-count cap still applies as a ceiling.  ``solvers`` may use
+    aliases and is stored as canonical kinds.  ``overrides`` maps a
+    solver of the experiment, by kind or alias, to parameter overrides,
+    and is stored keyed by kind; problem parameters travel in
+    ``problem_params``.
     """
 
     problem: str
@@ -30,16 +33,28 @@ class ExperimentConfig:
     overrides: Mapping = field(default_factory=dict)
 
     def __post_init__(self):
-        object.__setattr__(self, "solvers", tuple(self.solvers))
         if not self.solvers:
             raise ValueError("at least one solver is required")
-        seen = set()
+        kinds = []
         for token in self.solvers:
             kind = canonical_kind(token)
-            if kind in seen:
+            if kind in kinds:
                 alias = f" ({token!r} is an alias of it)" if token != kind else ""
                 raise ValueError(f"solver {kind!r} is given more than once{alias}")
-            seen.add(kind)
+            kinds.append(kind)
+        overrides = {}
+        for token, params in self.overrides.items():
+            try:
+                kind = canonical_kind(token)
+            except KeyError:
+                kind = None
+            if kind not in kinds:
+                raise ValueError(f"override key {token!r} names no solver of this experiment")
+            if kind in overrides:
+                raise ValueError(f"overrides for solver {kind!r} are given more than once")
+            overrides[kind] = params
+        object.__setattr__(self, "solvers", tuple(kinds))
+        object.__setattr__(self, "overrides", overrides)
         if self.repetitions < 1:
             raise ValueError("repetitions must be at least 1")
         if self.max_eval < 1:

@@ -25,8 +25,10 @@ log is kept, flagged ``aborted``, with the diagnostic in ``note``; a
 failed ``observe`` keeps its evaluation as the log's last row.
 """
 
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from pathlib import Path
 
 from ..core import RunLog, write_run_log
@@ -38,8 +40,13 @@ from .config import ExperimentConfig
 
 
 def run_single(problem, solver, max_eval, budget_seconds=None, virtual_time=False,
-               overrides=None) -> RunLog:
-    """Drive one solver on one problem until a stop rule fires."""
+               overrides=None, lock=None) -> RunLog:
+    """Drive one solver on one problem until a stop rule fires.
+
+    ``lock``, held by the caller, is released around each evaluation when
+    ``problem.waits(virtual_time)``, and taken back before the run goes on.
+    """
+    release = lock is not None and problem.waits(virtual_time)
     points, objectives, eval_times, solver_times = [], [], [], []
     virtual_clock = 0.0
     start = time.monotonic()
@@ -59,12 +66,17 @@ def run_single(problem, solver, max_eval, budget_seconds=None, virtual_time=Fals
             aborted, note = True, f"{type(err).__name__}: {err}"
             break
         suggest_time = time.perf_counter() - tick
+        if release:
+            lock.release()
         try:
             objective, eval_time = problem.evaluate(point, virtual=virtual_time)
         except EvaluationError as err:
             aborted = True
             note = str(err)
             break
+        finally:
+            if release:
+                lock.acquire()
         tick = time.perf_counter()
         try:
             solver.observe(point, objective)
@@ -107,8 +119,13 @@ def run_experiment(cfg: ExperimentConfig):
     are independent: each builds its own problem, whose noise stream is
     keyed by (solver, repetition), so a run's log does not depend on
     which other runs are in the experiment or on their scheduling.  With
-    ``jobs > 1`` they execute on a thread pool, which overlaps runs
-    whose problems wait on subprocesses or sleeps.
+    ``jobs > 1`` they execute on a thread pool under one lock: a job
+    holds it from building its problem until its log is written, and lets
+    another job run only while an evaluation waits (:meth:`Problem.waits`:
+    a subprocess or a real-time sleep).  Waits overlap, CPU work does not,
+    so CPU-bound runs are no slower than with ``jobs=1`` and their
+    ``solver_time`` is not inflated by other jobs.  A real-time budget
+    clock starts when the job first holds the lock.
     """
     problem_seed = derive_seed(cfg.base_seed, "problem", cfg.problem)
     out_dir = Path(cfg.out_path)
@@ -120,20 +137,24 @@ def run_experiment(cfg: ExperimentConfig):
         "base_seed": cfg.base_seed,
         "problem_params": dict(cfg.problem_params),
     }
+    lock = threading.Lock() if cfg.jobs > 1 else None
 
     def one(task):
         kind, repetition = task
         seed = derive_seed(cfg.base_seed, kind, repetition)
-        problem = make_problem(cfg.problem, seed=problem_seed,
-                               **dict(cfg.problem_params))
-        problem.seed_noise(derive_seed(cfg.base_seed, "noise", kind, repetition))
-        solver_overrides = dict(cfg.overrides.get(kind, {}))
-        solver = make_solver(kind, problem.space, R=cfg.rand_init, seed=seed,
-                             overrides=solver_overrides)
-        log = run_single(problem, solver, cfg.max_eval, budget_seconds=cfg.budget_seconds,
-                         virtual_time=cfg.virtual_time, overrides=solver_overrides)
-        path = out_dir / log_filename(problem.id, solver.kind, repetition)
-        write_run_log(log, problem.space, path, extra=header)
+        with lock or nullcontext():
+            problem = make_problem(cfg.problem, seed=problem_seed,
+                                   **dict(cfg.problem_params))
+            problem.seed_noise(derive_seed(cfg.base_seed, "noise", kind, repetition))
+            solver_overrides = dict(cfg.overrides.get(kind, {}))
+            solver = make_solver(kind, problem.space, R=cfg.rand_init, seed=seed,
+                                 overrides=solver_overrides)
+            log = run_single(problem, solver, cfg.max_eval,
+                             budget_seconds=cfg.budget_seconds,
+                             virtual_time=cfg.virtual_time, overrides=solver_overrides,
+                             lock=lock)
+            path = out_dir / log_filename(problem.id, solver.kind, repetition)
+            write_run_log(log, problem.space, path, extra=header)
         return path, (log.note if log.aborted else None)
 
     tasks = [(kind, t) for kind in cfg.solvers

@@ -66,6 +66,16 @@ class Problem:
     def _simulated_cost(self, point) -> float:
         return 0.0
 
+    def waits(self, virtual: bool) -> bool:
+        """Whether an evaluation in this timing mode waits rather than computes.
+
+        True for a real-time :func:`with_delay` sleep.  With ``--jobs > 1``
+        the runner lets another job compute only while an evaluation
+        waits, so a problem whose ``_objective`` waits on I/O (a socket, a
+        file another process writes) should override this to return True.
+        """
+        return self.delay > 0 and not virtual
+
     def evaluate(self, point, virtual: bool = False) -> tuple[float, float]:
         """Return (objective, eval_time) for a valid point.
 

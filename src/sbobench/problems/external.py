@@ -45,6 +45,9 @@ class SubprocessProblem(Problem):
     def evaluate(self, point, virtual: bool = False) -> tuple[float, float]:
         return super().evaluate(point)  # the command always runs for real
 
+    def waits(self, virtual: bool) -> bool:
+        return True
+
     def _objective(self, point) -> float:
         fd, path = tempfile.mkstemp(suffix=".json", prefix="sbobench-point-")
         try:

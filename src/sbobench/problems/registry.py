@@ -32,7 +32,10 @@ def register_problem(token: str, factory, seeded: bool = False) -> None:
 
     Seeded factories receive the harness-derived ``seed`` keyword;
     unseeded ones are called with user parameters only.  Registering an
-    existing token replaces it.
+    existing token replaces it.  Under ``--jobs > 1`` one job computes at
+    a time and others run only while an evaluation waits, so a problem
+    whose ``_objective`` waits on I/O should override ``Problem.waits``
+    to return True.
     """
     _UNSEEDED.pop(token, None)
     _SEEDED.pop(token, None)

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -12,7 +13,7 @@ import pytest
 import sbobench
 
 from sbobench.core import best_so_far
-from sbobench.core.runio import load_run_logs, sidecar_path
+from sbobench.core.runio import load_run_logs, read_run_log, sidecar_path
 from sbobench.harness import (
     ExperimentConfig,
     log_filename,
@@ -29,7 +30,8 @@ from sbobench.problems import (
     unregister_problem,
     with_delay,
 )
-from sbobench.solvers import make_solver, pwl
+from sbobench.problems.external import SubprocessProblem
+from sbobench.solvers import Solver, make_solver, pwl
 from sbobench.surrogates import FitError
 
 
@@ -245,6 +247,147 @@ class TestRunExperiment:
         (log, _), = load_run_logs(tmp_path)
         curve = best_so_far(log)
         assert all(a >= b for a, b in zip(curve, curve[1:]))
+
+
+class TestConfigAliases:
+    BASE = dict(problem="sphere", max_eval=8, rand_init=4, base_seed=2,
+                virtual_time=True, problem_params={"d": 2})
+
+    def _bytes(self, out, **kwargs):
+        paths, _ = run_experiment(ExperimentConfig(out_path=str(out), **self.BASE, **kwargs))
+        return {p.name: (p.read_bytes(), sidecar_path(p).read_bytes()) for p in paths}
+
+    def test_alias_and_canonical_names_write_the_same_bytes(self, tmp_path):
+        alias = self._bytes(tmp_path / "alias", solvers=("random_search", "pwl_low_explore"))
+        canonical = self._bytes(tmp_path / "canonical", solvers=("randomsearch", "pwl-low"))
+        assert list(alias) == ["sphere__randomsearch__r001.csv", "sphere__pwl-low__r001.csv"]
+        assert alias == canonical
+
+    def test_alias_keyed_override_applies(self, tmp_path):
+        cfg = ExperimentConfig(out_path=".", solvers=("pwl_low_explore",),
+                               overrides={"pwl_low_explore": {"n_basis": 5}}, **self.BASE)
+        assert cfg.solvers == ("pwl-low",)
+        assert cfg.overrides == {"pwl-low": {"n_basis": 5}}
+        by_alias = self._bytes(tmp_path / "alias", solvers=("pwl-low",),
+                               overrides={"pwl_low_explore": {"n_basis": 5}})
+        by_kind = self._bytes(tmp_path / "kind", solvers=("pwl_low_explore",),
+                              overrides={"pwl-low": {"n_basis": 5}})
+        plain = self._bytes(tmp_path / "plain", solvers=("pwl-low",))
+        assert by_alias == by_kind != plain
+
+    @pytest.mark.parametrize("overrides, message", (
+        ({"gp-ucb": {"beta": 1.0}}, "'gp-ucb' names no solver of this experiment"),
+        ({"annealing": {"t": 1.0}}, "'annealing' names no solver of this experiment"),
+        ({"sphere": {"d": 3}}, "'sphere' names no solver of this experiment"),
+        ({"randomsearch": {}, "random_search": {}},
+         "solver 'randomsearch' are given more than once"),
+    ))
+    def test_bad_override_keys_rejected(self, overrides, message):
+        with pytest.raises(ValueError, match=message):
+            ExperimentConfig(solvers=("randomsearch",), overrides=overrides, **self.BASE)
+
+
+def _max_in_flight(monkeypatch, owner, name):
+    """Patch ``owner.name`` to count concurrent calls; returns the running maximum."""
+    original = getattr(owner, name)
+    guard = threading.Lock()
+    state = {"now": 0, "max": 0}
+
+    def counted(*args, **kwargs):
+        with guard:
+            state["now"] += 1
+            state["max"] = max(state["max"], state["now"])
+        try:
+            return original(*args, **kwargs)
+        finally:
+            with guard:
+                state["now"] -= 1
+
+    monkeypatch.setattr(owner, name, counted)
+    return state
+
+
+def _run_with_timeout(cfg, seconds=30.0):
+    """``run_experiment(cfg)`` on a daemon thread; fails the test if it hangs."""
+    result = []
+    worker = threading.Thread(target=lambda: result.append(run_experiment(cfg)), daemon=True)
+    worker.start()
+    worker.join(seconds)
+    assert not worker.is_alive(), "run_experiment deadlocked"
+    return result[0]
+
+
+class TestJobsLock:
+    def test_waits_only_on_subprocesses_and_real_time_sleeps(self):
+        external = SubprocessProblem("true {input}", sphere(d=2).space)
+        assert external.waits(True) and external.waits(False)
+        assert not sphere().waits(False)
+        assert with_delay(sphere(), 0.1).waits(False)
+        assert not with_delay(sphere(), 0.1).waits(True)
+
+    def test_one_job_computes_at_a_time(self, tmp_path, monkeypatch):
+        suggest = Solver.suggest
+
+        def slow_suggest(solver):
+            time.sleep(0.005)
+            return suggest(solver)
+
+        monkeypatch.setattr(Solver, "suggest", slow_suggest)
+        state = _max_in_flight(monkeypatch, Solver, "suggest")
+        run_experiment(ExperimentConfig(
+            problem="sphere", solvers=("randomsearch", "pwl-low"), repetitions=2,
+            max_eval=10, rand_init=4, out_path=str(tmp_path), virtual_time=True,
+            jobs=2, problem_params={"d": 2}))
+        assert state["max"] == 1
+
+    def test_waiting_evaluations_overlap(self, tmp_path, monkeypatch):
+        state = _max_in_flight(monkeypatch, Problem, "evaluate")
+        register_problem("sleepy", lambda: with_delay(sphere(d=2), 0.05))
+        try:
+            start = time.monotonic()
+            paths, aborted = run_experiment(ExperimentConfig(
+                problem="sleepy", solvers=("randomsearch", "pwl-low"), max_eval=8,
+                rand_init=4, out_path=str(tmp_path), jobs=2))
+            elapsed = time.monotonic() - start
+        finally:
+            unregister_problem("sleepy")
+        assert len(paths) == 2 and not aborted
+        assert state["max"] == 2
+        assert elapsed < 2 * 8 * 0.05
+
+    def test_evaluation_error_while_waiting_aborts_only_its_run(self, tmp_path):
+        built = []
+
+        class FailsOnThirdCall(Problem):
+            # The first problem built fails on its third evaluation; the other never does.
+            delay = 0.01
+
+            def __init__(self):
+                super().__init__("fails-third", sphere(d=2).space)
+                self.fails = not built
+                self.calls = 0
+                built.append(self)
+
+            def _objective(self, point):
+                self.calls += 1
+                if self.fails and self.calls == 3:
+                    raise EvaluationError("simulator crashed")
+                return 1.0
+
+        register_problem("fails-third", FailsOnThirdCall)
+        try:
+            paths, aborted = _run_with_timeout(ExperimentConfig(
+                problem="fails-third", solvers=("randomsearch", "pwl-low"), max_eval=8,
+                rand_init=4, out_path=str(tmp_path), jobs=2))
+        finally:
+            unregister_problem("fails-third")
+        assert len(paths) == 2 and len(aborted) == 1
+        (path, note), = aborted.items()
+        assert "simulator crashed" in note
+        failed, = (read_run_log(p)[0] for p in paths if p == path)
+        finished, = (read_run_log(p)[0] for p in paths if p != path)
+        assert len(failed) == 2 and failed.aborted
+        assert len(finished) == 8 and not finished.aborted
 
 
 class TestCliParsing:
