@@ -203,8 +203,11 @@ class SearchSpace:
 
     @cached_property
     def _checks(self) -> tuple:
-        """``(name, kind, lower, upper, categories)`` per variable, for :func:`validate_point`."""
-        return tuple((v.name, v.kind, v.lower, v.upper, v.categories) for v in self.variables)
+        """``(name, kind, lower, upper, categories)`` per variable, for :func:`validate_point`;
+        ``categories`` is a frozenset, or None for a numeric variable."""
+        return tuple((v.name, v.kind, v.lower, v.upper,
+                      None if v.categories is None else frozenset(v.categories))
+                     for v in self.variables)
 
     def index(self, name: str) -> int:
         return self._index[name]
@@ -268,7 +271,7 @@ def validate_point(space: SearchSpace, point: tuple) -> str | None:
                 return f"{name} is not an integer"
             if not (lower <= int(val) <= upper):
                 return f"{name} out of bounds"
-        elif val not in categories:
+        elif not (isinstance(val, str) and val in categories):  # a list is not hashable
             return f"{name} is not a valid category"
     return None
 

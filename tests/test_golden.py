@@ -1,7 +1,7 @@
-"""Golden outputs: every file five virtual-time CLI configurations write, by sha256.
+"""Golden outputs: every file six virtual-time CLI configurations write, by sha256.
 
 The runner promises byte-identical virtual-time logs on rerun.  This
-test reruns five configurations, runs README's analysis pipeline over
+test reruns six configurations, runs README's analysis pipeline over
 the ``criterion-10`` logs (curves, replay grid, rules tree and one
 offline fit), and compares each file written with the digest in
 ``golden_manifest.json``, naming every differing, missing or extra
@@ -54,6 +54,8 @@ CONFIGURATIONS = {
                      "windwake-toy", "randomsearch", "pwl-low"],
     "hpo-proxy-models": ["--max-eval=30", "--rand-evals-all=10", "--seed=4", "--virtual-time",
                          "hpo-proxy", "pwl-high", "rff-local"],
+    "hpo-proxy-forest": ["--max-eval=60", "--rand-evals-all=10", "--seed=1", "--virtual-time",
+                         "hpo-proxy", "forest-ucb"],
     "criterion-10": ["--repetitions=2", "--max-eval=50", "--rand-evals-all=10", "--seed=3",
                      "--virtual-time", "esp-proxy", "randomsearch", "gp-ucb"],
 }

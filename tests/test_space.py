@@ -125,6 +125,9 @@ class TestValidatePoint:
         msg = validate_point(mixed_space, pt)
         assert msg == "alg is not a valid category"
 
+    def test_unhashable_category_is_reported(self, mixed_space):
+        assert validate_point(mixed_space, (["a"], 0.5, 2, 1.0)) == "alg is not a valid category"
+
     def test_wrong_arity_is_reported(self, box_space):
         pt = (0.5,)
         assert "values" in validate_point(box_space, pt)

@@ -6,11 +6,18 @@ The reference below grows one node at a time from a heap, scanning each
 node on its own rows with the two-dimensional split scan.  Both must give
 the same node arrays, byte for byte and dtype for dtype, for the forest,
 boosting and rules trees; and routing all of a forest's trees in one pass
-must give exactly the per-tree predictions.
+must give exactly the per-tree predictions.  Every comparison runs twice,
+once with every scan batch sorting the features' integer ranks and once
+with every batch sorting their float values.
 """
 
+import functools
 import heapq
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -147,6 +154,17 @@ def assert_same_nodes(tree, reference):
 KINDS = ("continuous", "discrete", "identical")
 
 
+def on_both_sort_paths(test):
+    """Run ``test`` with every scan batch sorting ranks, then with every batch sorting floats."""
+    @functools.wraps(test)
+    def run(*args, **kwargs):
+        for radix_width in (0, np.iinfo(np.intp).max):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(trees, "_RADIX_WIDTH", radix_width)
+                test(*args, **kwargs)
+    return run
+
+
 def _features(rng, n, d, kind):
     """Continuous, few-valued, or identical columns (the last forces ties)."""
     if kind == "continuous":
@@ -172,6 +190,7 @@ def _space(d):
 
 @pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("d", (1, 7, 10, 49))
+@on_both_sort_paths
 def test_regression_tree_matches_heap_grower(kind, d):
     rng = make_rng(100 + d)
     for _ in range(12):
@@ -185,6 +204,7 @@ def test_regression_tree_matches_heap_grower(kind, d):
 
 @pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("d", (1, 7, 10, 49))
+@on_both_sort_paths
 def test_forest_matches_tree_by_tree_growth(kind, d):
     rng = make_rng(200 + d)
     for case in range(4):
@@ -201,6 +221,7 @@ def test_forest_matches_tree_by_tree_growth(kind, d):
             assert_same_nodes(tree, ref)
 
 
+@on_both_sort_paths
 def test_forest_bootstrap_duplicates_and_constant_targets():
     rng = make_rng(7)
     X = np.repeat(rng.uniform(size=(6, 3)), 4, axis=0)  # every row four times
@@ -210,6 +231,7 @@ def test_forest_bootstrap_duplicates_and_constant_targets():
             assert_same_nodes(tree, ref)
 
 
+@on_both_sort_paths
 def test_trees_grown_together_match_trees_grown_apart():
     rng = make_rng(8)
     X, y = rng.uniform(size=(40, 5)), rng.normal(size=40)
@@ -222,6 +244,7 @@ def test_trees_grown_together_match_trees_grown_apart():
 
 
 @pytest.mark.parametrize("d", (1, 7, 10))
+@on_both_sort_paths
 def test_boosted_matches_heap_grower(d):
     rng = make_rng(300 + d)
     for _ in range(3):
@@ -241,6 +264,7 @@ def test_boosted_matches_heap_grower(d):
 
 
 @pytest.mark.parametrize("kind", KINDS)
+@on_both_sort_paths
 def test_rules_tree_matches_heap_grower(kind):
     rng = make_rng(400)
     for case in range(25):
@@ -260,9 +284,8 @@ def test_rules_tree_matches_heap_grower(kind):
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_small_batches_match_heap_grower(monkeypatch, kind):
-    """Levels split over many batches, every size class and padding run at small n."""
+    """Levels split over many batches, and padding run at small n."""
     monkeypatch.setattr(trees, "_BATCH_ELEMENTS", 2**6)
-    monkeypatch.setattr(trees, "_SMALL_ELEMENTS", 2**2)
     for d in (1, 7, 10, 49):
         test_forest_matches_tree_by_tree_growth(kind, d)
     test_rules_tree_matches_heap_grower(kind)
@@ -293,9 +316,88 @@ def test_threshold_stays_below_the_upper_value(lower, upper):
     X, y = np.array([[lower], [upper]]), np.array([0.0, 1.0])
     _, _, threshold = trees.best_split(X, (y, y * y), trees.sse_cost)
     assert threshold == lower
+    if np.isnan(upper):  # the grower refuses a NaN feature
+        with pytest.raises(ValueError, match="NaN"):
+            build_regression_tree(X, y)
+        return
     tree = build_regression_tree(X, y)
     assert tree.n_leaves == 2
     assert tree.predict(X).tolist() == [0.0, 1.0]
+
+
+def test_rank_order_is_the_stable_value_order():
+    """Ties, signed zeros, infinities and repeated rows, a NaN pad last."""
+    rng = make_rng(11)
+    values = np.array([0.0, -0.0, np.inf, -np.inf, 1.0, np.nextafter(1.0, 2.0), -1.5, 5e-324])
+    XT = rng.choice(values, size=(6, 300))
+    XT[:, 200:] = XT[:, :100]  # repeated rows
+    XT = np.hstack((XT, np.full((6, 1), np.nan)))
+    keys = trees._ranks(XT)
+    assert keys.dtype == np.uint16
+    assert (keys.argsort(axis=-1, kind="stable")
+            == XT.argsort(axis=-1, kind="stable")).all()
+    for _ in range(20):  # any node's samples, in any order, with repeats
+        samples = rng.integers(0, XT.shape[1], size=int(rng.integers(1, 60)))
+        assert (keys[:, samples].argsort(axis=-1, kind="stable")
+                == XT[:, samples].argsort(axis=-1, kind="stable")).all()
+    assert trees._ranks(np.array([[0.0, -0.0, np.inf, -np.inf, np.nan]])).tolist() == [
+        [1, 1, 2, 0, 3]]
+
+
+@pytest.mark.parametrize("rows, dtype", [(255, np.uint8), (256, np.uint16),
+                                         (65_535, np.uint16), (65_536, np.uint32)])
+def test_rank_keys_take_the_smallest_unsigned_type(rows, dtype):
+    XT = np.append(np.arange(rows, 0, -1) / 7.0, np.nan)[None]  # grow's layout: rows, then the pad
+    keys = trees._ranks(XT)
+    assert keys.dtype == dtype
+    assert keys[0, -1] == rows  # the pad ranks above every row
+    assert (keys[0, :-1] == np.arange(rows - 1, -1, -1)).all()
+
+
+def test_nan_features_raise_instead_of_hanging():
+    """A split between two NaN rows once sent every row right, forever."""
+    code = """
+import numpy as np
+from sbobench.analysis import rules
+from sbobench.surrogates import fit_boosted, fit_forest
+from sbobench.surrogates.trees import build_regression_tree
+X, y = np.array([[np.nan], [np.nan], [0.3], [0.1]]), np.array([1.0, 5.0, 2.0, 3.0])
+for grow in (lambda: build_regression_tree(X, y), lambda: fit_forest(None, X, y),
+             lambda: fit_boosted(None, X, y), lambda: rules.grow_tree(X, y)):
+    try:
+        grow()
+    except ValueError as error:
+        print(error)
+"""
+    source = str(Path(trees.__file__).parents[2])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (source, os.environ.get("PYTHONPATH"))))}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=10, env=env, check=True)
+    assert done.stdout.splitlines() == ["X holds a NaN"] * 4
+
+
+def test_empty_root_is_refused():
+    X, y = np.zeros((5, 2)), np.arange(5.0)
+    with pytest.raises(ValueError, match="root 1 is empty"):
+        build_regression_trees(X, y, [np.arange(5), []])
+
+
+def test_root_past_the_last_row_is_refused():
+    X, y = np.zeros((5, 2)), np.arange(5.0)
+    with pytest.raises(ValueError, match="root 1 lists row 5"):
+        build_regression_trees(X, y, [[0, 1], [2, 5, 3]])
+
+
+def test_negative_root_index_is_refused():
+    X, y = np.arange(10.0).reshape(5, 2), np.arange(5.0)
+    with pytest.raises(ValueError, match="root 0 lists row -1"):
+        build_regression_trees(X, y, [[-1, 2]])
+
+
+def test_no_roots_is_refused():
+    with pytest.raises(ValueError, match="need at least one root"):
+        build_regression_trees(np.zeros((5, 2)), np.arange(5.0), [])
 
 
 def test_bad_inputs_raise_value_errors():
