@@ -17,7 +17,6 @@ import argparse
 import os
 import sys
 
-from ..problems import available_problems
 from ..solvers import available_solvers, canonical_kind
 from .config import ExperimentConfig
 from .runner import run_experiment
@@ -78,9 +77,6 @@ def parse_args(argv=None) -> ExperimentConfig:
         if "=" in token and "." in head:
             raw_overrides.append(token)
         elif problem is None:
-            if token not in available_problems():
-                raise UsageError(f"unknown problem {token!r}; available: "
-                                 f"{', '.join(available_problems())}")
             problem = token
         else:
             try:

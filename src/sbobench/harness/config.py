@@ -3,6 +3,7 @@
 from dataclasses import dataclass, field
 from typing import Mapping
 
+from ..problems import available_problems
 from ..solvers import canonical_kind
 
 
@@ -33,6 +34,9 @@ class ExperimentConfig:
     overrides: Mapping = field(default_factory=dict)
 
     def __post_init__(self):
+        if self.problem not in available_problems():
+            raise ValueError(f"unknown problem {self.problem!r}; available: "
+                             f"{', '.join(available_problems())}")
         if not self.solvers:
             raise ValueError("at least one solver is required")
         kinds = []

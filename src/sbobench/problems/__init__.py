@@ -1,41 +1,35 @@
 """Benchmark problems: proxies, synthetics, delays, and external commands."""
 
 from .base import EvaluationError, Problem, with_delay
-from .esp import EspProblem, esp_proxy
+from .esp import EspProblem
 from .external import SubprocessProblem, load_space_file, subprocess_problem
-from .hpo import HpoProblem, hpo_proxy
-from .pipe import PipeProblem, pipe_proxy
+from .hpo import HpoProblem
+from .pipe import PipeProblem
 from .registry import (
     available_problems,
     make_problem,
     register_problem,
     unregister_problem,
 )
-from .synthetic import RosenbrockProblem, SphereProblem, rosenbrock, sphere
-from .windwake import WindWakeProblem, turbine_power, windwake_toy
+from .synthetic import RosenbrockProblem, SphereProblem
+from .windwake import WindWakeProblem, turbine_power
 
 __all__ = [
     "EvaluationError",
     "Problem",
     "with_delay",
     "EspProblem",
-    "esp_proxy",
     "SubprocessProblem",
     "load_space_file",
     "subprocess_problem",
     "HpoProblem",
-    "hpo_proxy",
     "PipeProblem",
-    "pipe_proxy",
     "available_problems",
     "make_problem",
     "register_problem",
     "unregister_problem",
     "RosenbrockProblem",
     "SphereProblem",
-    "rosenbrock",
-    "sphere",
     "WindWakeProblem",
     "turbine_power",
-    "windwake_toy",
 ]

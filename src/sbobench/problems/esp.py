@@ -64,6 +64,8 @@ def _chain_dp_minimum(tables, n_options, window):
 
 
 class EspProblem(Problem):
+    """Categorical sliding-window proxy with plateaus and an exact DP optimum."""
+
     def __init__(self, n_slots=49, n_options=8, window=3, seed=0,
                  noise_sigma=0.0):
         if window < 2:
@@ -120,9 +122,3 @@ class EspProblem(Problem):
                                        repeat=self.n_slots):
             best = min(best, self.objective_of_indices(combo))
         return float(best)
-
-
-def esp_proxy(n_slots=49, n_options=8, window=3, seed=0,
-              noise_sigma=0.0) -> Problem:
-    """Categorical sliding-window proxy with plateaus and an exact DP optimum."""
-    return EspProblem(n_slots, n_options, window, seed, noise_sigma)

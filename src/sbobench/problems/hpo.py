@@ -55,6 +55,8 @@ def _build_space() -> SearchSpace:
 
 
 class HpoProblem(Problem):
+    """Conditional mixed-space proxy with a simulated-cost timeout at 8 s."""
+
     def __init__(self, seed=0, noise_sigma=0.0):
         super().__init__("hpo-proxy", _build_space(),
                          noise_sigma=noise_sigma, noise_seed=seed)
@@ -113,8 +115,3 @@ class HpoProblem(Problem):
             "reg": 1.0,
             "preproc": "scale",
         })
-
-
-def hpo_proxy(seed=0, noise_sigma=0.0) -> Problem:
-    """Conditional mixed-space proxy with a simulated-cost timeout at 8 s."""
-    return HpoProblem(seed, noise_sigma)

@@ -26,6 +26,8 @@ PENALTY = 2.0
 
 
 class PipeProblem(Problem):
+    """Constrained continuous proxy on [0,1]^d with penalty plateau 2."""
+
     def __init__(self, d=10, noise_sigma=0.0):
         if d < 2:
             raise ValueError("pipe proxy needs d >= 2")
@@ -47,8 +49,3 @@ class PipeProblem(Problem):
         bowl = 0.9 * (dist / self.radius) ** 2
         ripple = 0.35 * float(np.mean(1.0 - np.cos(4.0 * np.pi * z))) / 2.0
         return 0.4 + bowl + ripple
-
-
-def pipe_proxy(d=10, noise_sigma=0.0) -> Problem:
-    """Constrained continuous proxy on [0,1]^d with penalty plateau 2."""
-    return PipeProblem(d, noise_sigma)

@@ -1,47 +1,46 @@
 """Name -> factory registry used by the CLI and the harness."""
 
-from .esp import esp_proxy
-from .hpo import hpo_proxy
-from .pipe import pipe_proxy
-from .synthetic import rosenbrock, sphere
-from .windwake import windwake_toy
+import inspect
 
-_SEEDED = {"windwake-toy": windwake_toy, "esp-proxy": esp_proxy,
-           "hpo-proxy": hpo_proxy}
-_UNSEEDED = {"pipe-proxy": pipe_proxy, "sphere": sphere,
-             "rosenbrock": rosenbrock}
+from .esp import EspProblem
+from .hpo import HpoProblem
+from .pipe import PipeProblem
+from .synthetic import RosenbrockProblem, SphereProblem
+from .windwake import WindWakeProblem
+
+_FACTORIES = {"esp-proxy": EspProblem, "hpo-proxy": HpoProblem,
+              "pipe-proxy": PipeProblem, "rosenbrock": RosenbrockProblem,
+              "sphere": SphereProblem, "windwake-toy": WindWakeProblem}
 
 
 def available_problems() -> tuple:
-    return tuple(sorted(list(_SEEDED) + list(_UNSEEDED)))
+    return tuple(sorted(_FACTORIES))
 
 
 def make_problem(token: str, seed: int = 0, **params):
-    """Instantiate a registered problem by its CLI token."""
-    if token in _SEEDED:
-        return _SEEDED[token](seed=seed, **params)
-    if token in _UNSEEDED:
-        return _UNSEEDED[token](**params)
-    raise KeyError(
-        f"unknown problem {token!r}; available: {', '.join(available_problems())}"
-    )
+    """Instantiate a registered problem by its CLI token (seeding as in ``register_problem``)."""
+    if token not in _FACTORIES:
+        raise KeyError(
+            f"unknown problem {token!r}; available: {', '.join(available_problems())}"
+        )
+    factory = _FACTORIES[token]
+    if "seed" in inspect.signature(factory).parameters:
+        return factory(seed=seed, **params)
+    return factory(**params)
 
 
-def register_problem(token: str, factory, seeded: bool = False) -> None:
+def register_problem(token: str, factory) -> None:
     """Expose a custom problem factory under a CLI token.
 
-    Seeded factories receive the harness-derived ``seed`` keyword;
-    unseeded ones are called with user parameters only.  Registering an
-    existing token replaces it.  Under ``--jobs > 1`` one job computes at
-    a time and others run only while an evaluation waits, so a problem
-    whose ``_objective`` waits on I/O should override ``Problem.waits``
-    to return True.
+    A factory whose signature has a ``seed`` parameter is called with the
+    harness-derived seed, as the built-in problem classes are; any other is
+    called with the problem parameters only.  Registering an existing token
+    replaces it.  Under ``--jobs > 1`` one job computes at a time and others
+    run only while an evaluation waits, so a problem whose ``_objective``
+    waits on I/O should override ``Problem.waits`` to return True.
     """
-    _UNSEEDED.pop(token, None)
-    _SEEDED.pop(token, None)
-    (_SEEDED if seeded else _UNSEEDED)[token] = factory
+    _FACTORIES[token] = factory
 
 
 def unregister_problem(token: str) -> None:
-    _UNSEEDED.pop(token, None)
-    _SEEDED.pop(token, None)
+    _FACTORIES.pop(token, None)

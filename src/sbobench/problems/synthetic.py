@@ -14,6 +14,8 @@ def _box(d, lower, upper):
 
 
 class SphereProblem(Problem):
+    """Separable quadratic bowl on [-5, 5]^d with optimum 0 at the origin."""
+
     def __init__(self, d=5, noise_sigma=0.0):
         if d < 1:
             raise ValueError("d must be positive")
@@ -26,6 +28,8 @@ class SphereProblem(Problem):
 
 
 class RosenbrockProblem(Problem):
+    """Banana-valley function on [-2, 2]^d with optimum 0 at (1, ..., 1)."""
+
     def __init__(self, d=2, noise_sigma=0.0):
         if d < 2:
             raise ValueError("d must be at least 2")
@@ -36,13 +40,3 @@ class RosenbrockProblem(Problem):
         x = np.asarray(point, dtype=float)
         return float(np.sum(100.0 * (x[1:] - x[:-1] ** 2) ** 2
                             + (1.0 - x[:-1]) ** 2))
-
-
-def sphere(d=5, noise_sigma=0.0) -> Problem:
-    """Separable quadratic bowl on [-5, 5]^d with optimum 0 at the origin."""
-    return SphereProblem(d, noise_sigma)
-
-
-def rosenbrock(d=2, noise_sigma=0.0) -> Problem:
-    """Banana-valley function on [-2, 2]^d with optimum 0 at (1, ..., 1)."""
-    return RosenbrockProblem(d, noise_sigma)

@@ -37,6 +37,8 @@ def turbine_power(speed):
 
 
 class WindWakeProblem(Problem):
+    """Wind-farm layout proxy: 2*n_turbines continuous variables."""
+
     def __init__(self, n_turbines=5, n_scenarios=5, field_side=1000.0,
                  rotor_diameter=50.0, seed=0, noise_sigma=0.0):
         if n_turbines < 2:
@@ -98,10 +100,3 @@ class WindWakeProblem(Problem):
         powers = [self.farm_power(positions, theta, speed)
                   for theta, speed in self.scenarios]
         return -float(np.mean(powers))
-
-
-def windwake_toy(n_turbines=5, n_scenarios=5, field_side=1000.0,
-                 rotor_diameter=50.0, seed=0, noise_sigma=0.0) -> Problem:
-    """Wind-farm layout proxy: 2*n_turbines continuous variables."""
-    return WindWakeProblem(n_turbines, n_scenarios, field_side,
-                           rotor_diameter, seed, noise_sigma)

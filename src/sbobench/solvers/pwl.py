@@ -21,10 +21,8 @@ class PwlSolver(Solver):
     factor = 1.0
 
     def __init__(self, space, R, seed, n_basis=None,
-                 ridge=1e-6, sweeps=2, grid=17, factor=None):
+                 ridge=1e-6, sweeps=2, grid=17):
         super().__init__(space, R, seed)
-        if factor is not None:
-            self.factor = float(factor)
         if n_basis is None:
             continuous = all(v.kind == "continuous" for v in space.variables)
             n_basis = 1000 if continuous else 512
@@ -92,7 +90,6 @@ class PwlSolver(Solver):
 
 class PwlLowExploreSolver(PwlSolver):
     kind = "pwl-low"
-    factor = 1.0
 
 
 class PwlHighExploreSolver(PwlSolver):

@@ -231,10 +231,11 @@ def _sorted_scan(XT, keys, samples, stats, sizes, cost, min_leaf):
                                sizes, cost, min_leaf)
     nodes = np.arange(k)
     lower, upper = XT[f, ranked[nodes, f, i]], XT[f, ranked[nodes, f, i + 1]]
-    threshold = (lower + upper) / 2.0
-    # The midpoint of adjacent floats can round up to the upper value; the
-    # threshold must stay below it, or one child would get every row and
-    # the tree would grow forever.
+    with np.errstate(over="ignore", invalid="ignore"):  # -inf + inf, or an overflow past 1.8e308
+        threshold = (lower + upper) / 2.0
+    # The midpoint of adjacent floats can round up to the upper value (or
+    # be NaN or inf, as above); the threshold must stay below it, or one
+    # child would get every row and the tree would grow forever.
     threshold = np.where(threshold < upper, threshold, lower)
     return valid, score, f, threshold
 

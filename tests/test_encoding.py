@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from sbobench.core import SearchSpace, VariableSpec, make_rng, sample_uniform, validate_point
-from sbobench.problems import esp_proxy, hpo_proxy, pipe_proxy
+from sbobench.problems import EspProblem, HpoProblem, PipeProblem
 from sbobench.surrogates import encode, encode_points, encoded_bounds, nearest_point
 from sbobench.surrogates.encoding import sample_encoded
 
@@ -37,8 +37,8 @@ def test_encode_points_shape(mixed_space):
     assert encode_points(mixed_space, pts).shape == (7, 4)
 
 
-@pytest.mark.parametrize("make_problem", [esp_proxy, lambda: hpo_proxy(seed=0),
-                                          lambda: pipe_proxy(d=10)],
+@pytest.mark.parametrize("make_problem", [EspProblem, lambda: HpoProblem(seed=0),
+                                          lambda: PipeProblem(d=10)],
                          ids=["esp-proxy", "hpo-proxy", "pipe-proxy"])
 def test_encode_points_equals_rowwise_reference(make_problem):
     space = make_problem().space

@@ -25,8 +25,8 @@ from sbobench.harness.cli import UsageError, main
 from sbobench.problems import (
     EvaluationError,
     Problem,
+    SphereProblem,
     register_problem,
-    sphere,
     unregister_problem,
     with_delay,
 )
@@ -37,7 +37,7 @@ from sbobench.surrogates import FitError
 
 class TestRunSingle:
     def test_stops_at_max_eval(self):
-        problem = sphere(d=2)
+        problem = SphereProblem(d=2)
         solver = make_solver("randomsearch", problem.space, R=3, seed=1)
         log = run_single(problem, solver, max_eval=12)
         assert len(log.records) == 12
@@ -45,14 +45,14 @@ class TestRunSingle:
         assert [r.iteration for r in log.records] == list(range(1, 13))
 
     def test_phases_split_at_rand_init(self):
-        problem = sphere(d=2)
+        problem = SphereProblem(d=2)
         solver = make_solver("forest-ucb", problem.space, R=4, seed=2)
         log = run_single(problem, solver, max_eval=7)
         phases = [r.phase for r in log.records]
         assert phases == ["random_init"] * 4 + ["model_guided"] * 3
 
     def test_zero_budget_gives_empty_log(self):
-        problem = sphere(d=2)
+        problem = SphereProblem(d=2)
         solver = make_solver("randomsearch", problem.space, R=2, seed=0)
         log = run_single(problem, solver, max_eval=50, budget_seconds=0.0)
         assert log.empty
@@ -62,7 +62,7 @@ class TestRunSingle:
         # Virtual time: each evaluation costs 1.0 s.  Budget 2.5 s:
         # evaluations start at clock 0, 1, 2 (the last crosses the
         # line) and the check before the fourth suggestion stops the run.
-        problem = with_delay(sphere(d=2), 1.0)
+        problem = with_delay(SphereProblem(d=2), 1.0)
         solver = make_solver("randomsearch", problem.space, R=2, seed=3)
         log = run_single(problem, solver, max_eval=50, budget_seconds=2.5,
                          virtual_time=True)
@@ -70,19 +70,19 @@ class TestRunSingle:
         assert all(r.eval_time == pytest.approx(1.0) for r in log.records)
 
     def test_virtual_mode_records_zero_solver_time(self):
-        problem = sphere(d=3)
+        problem = SphereProblem(d=3)
         solver = make_solver("gp-ucb", problem.space, R=3, seed=4)
         log = run_single(problem, solver, max_eval=6, virtual_time=True)
         assert all(r.solver_time == 0.0 for r in log.records)
 
     def test_real_mode_solver_time_positive_for_model_solver(self):
-        problem = sphere(d=2)
+        problem = SphereProblem(d=2)
         solver = make_solver("gp-ucb", problem.space, R=3, seed=5)
         log = run_single(problem, solver, max_eval=6)
         assert all(r.solver_time > 0.0 for r in log.records)
 
     def test_wall_clock_accounting_within_five_percent(self):
-        problem = with_delay(sphere(d=2), 0.02)
+        problem = with_delay(SphereProblem(d=2), 0.02)
         solver = make_solver("randomsearch", problem.space, R=2, seed=6)
         start = time.monotonic()
         log = run_single(problem, solver, max_eval=25)
@@ -93,7 +93,7 @@ class TestRunSingle:
     def test_evaluation_error_aborts_with_partial_log(self):
         class Flaky(Problem):
             def __init__(self):
-                super().__init__("flaky", sphere(d=2).space)
+                super().__init__("flaky", SphereProblem(d=2).space)
                 self.calls = 0
 
             def _objective(self, point):
@@ -110,7 +110,7 @@ class TestRunSingle:
         assert "simulator crashed" in log.note
 
     def test_fit_error_in_suggest_keeps_the_rows_before_it(self):
-        problem = sphere(d=2)
+        problem = SphereProblem(d=2)
         solver = make_solver("randomsearch", problem.space, R=2, seed=8)
         suggest = solver.suggest
 
@@ -216,7 +216,7 @@ class TestRunExperiment:
         # from the noiseless value by different amounts.
         logs = {log.seed: log for log, _ in load_run_logs(tmp_path / "ab")
                 if log.solver_id == "randomsearch"}
-        problem = sphere(d=2)
+        problem = SphereProblem(d=2)
         offsets = {round(log.records[0].objective
                          - problem.evaluate(log.records[0].point)[0], 12)
                    for log in logs.values()}
@@ -286,6 +286,13 @@ class TestConfigAliases:
         with pytest.raises(ValueError, match=message):
             ExperimentConfig(solvers=("randomsearch",), overrides=overrides, **self.BASE)
 
+    def test_unknown_problem_rejected_before_any_output(self, tmp_path):
+        out = tmp_path / "out"
+        with pytest.raises(ValueError, match="unknown problem 'warp-drive'; available: esp-proxy, "):
+            run_experiment(ExperimentConfig(**dict(self.BASE, problem="warp-drive"),
+                                            solvers=("randomsearch",), out_path=str(out)))
+        assert not out.exists()
+
 
 def _max_in_flight(monkeypatch, owner, name):
     """Patch ``owner.name`` to count concurrent calls; returns the running maximum."""
@@ -319,11 +326,11 @@ def _run_with_timeout(cfg, seconds=30.0):
 
 class TestJobsLock:
     def test_waits_only_on_subprocesses_and_real_time_sleeps(self):
-        external = SubprocessProblem("true {input}", sphere(d=2).space)
+        external = SubprocessProblem("true {input}", SphereProblem(d=2).space)
         assert external.waits(True) and external.waits(False)
-        assert not sphere().waits(False)
-        assert with_delay(sphere(), 0.1).waits(False)
-        assert not with_delay(sphere(), 0.1).waits(True)
+        assert not SphereProblem().waits(False)
+        assert with_delay(SphereProblem(), 0.1).waits(False)
+        assert not with_delay(SphereProblem(), 0.1).waits(True)
 
     def test_one_job_computes_at_a_time(self, tmp_path, monkeypatch):
         suggest = Solver.suggest
@@ -342,7 +349,7 @@ class TestJobsLock:
 
     def test_waiting_evaluations_overlap(self, tmp_path, monkeypatch):
         state = _max_in_flight(monkeypatch, Problem, "evaluate")
-        register_problem("sleepy", lambda: with_delay(sphere(d=2), 0.05))
+        register_problem("sleepy", lambda: with_delay(SphereProblem(d=2), 0.05))
         try:
             start = time.monotonic()
             paths, aborted = run_experiment(ExperimentConfig(
@@ -363,7 +370,7 @@ class TestJobsLock:
             delay = 0.01
 
             def __init__(self):
-                super().__init__("fails-third", sphere(d=2).space)
+                super().__init__("fails-third", SphereProblem(d=2).space)
                 self.fails = not built
                 self.calls = 0
                 built.append(self)
@@ -478,7 +485,7 @@ class TestCliMain:
     def test_abort_exit_one(self, tmp_path, capsys):
         class Exploding(Problem):
             def __init__(self):
-                super().__init__("exploding", sphere(d=2).space)
+                super().__init__("exploding", SphereProblem(d=2).space)
 
             def _objective(self, point):
                 raise EvaluationError("boom")
@@ -502,7 +509,7 @@ class TestCliMain:
     def test_non_finite_objective_aborts_each_run_keeping_its_log(self, tmp_path, capsys):
         class NanOnFourth(Problem):
             def __init__(self):
-                super().__init__("nan-fourth", sphere(d=2).space)
+                super().__init__("nan-fourth", SphereProblem(d=2).space)
                 self.calls = 0
 
             def _objective(self, point):

@@ -11,7 +11,7 @@ from sbobench.core import (
     validate_point,
 )
 from sbobench.core.rng import derive_seed
-from sbobench.problems import esp_proxy, hpo_proxy, pipe_proxy, sphere
+from sbobench.problems import EspProblem, HpoProblem, PipeProblem, SphereProblem
 from sbobench.solvers import (
     RandomSearchSolver,
     available_solvers,
@@ -60,7 +60,7 @@ class TestUcbScore:
 class TestWarmUpPhase:
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_first_r_suggestions_reproduce_uniform_stream(self, kind):
-        problem = pipe_proxy(d=3)
+        problem = PipeProblem(d=3)
         solver = make_solver(kind, problem.space, R=4, seed=123)
         reference = make_rng(123)
         for _ in range(4):
@@ -70,7 +70,7 @@ class TestWarmUpPhase:
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_model_absent_until_r_observations(self, kind):
-        problem = pipe_proxy(d=2)
+        problem = PipeProblem(d=2)
         solver = make_solver(kind, problem.space, R=3, seed=5)
         for i in range(5):
             pt = solver.suggest()
@@ -84,12 +84,12 @@ class TestWarmUpPhase:
 
     def test_r_must_be_positive(self):
         with pytest.raises(ValueError):
-            make_solver("randomsearch", sphere(d=2).space, R=0, seed=1)
+            make_solver("randomsearch", SphereProblem(d=2).space, R=0, seed=1)
 
 
 class TestLoopContracts:
     def test_history_grows_by_one_per_observation(self):
-        problem = sphere(d=2)
+        problem = SphereProblem(d=2)
         solver = make_solver("randomsearch", problem.space, R=2, seed=0)
         for i in range(6):
             pt = solver.suggest()
@@ -98,20 +98,20 @@ class TestLoopContracts:
             assert solver.iteration == i + 1
 
     def test_nan_objective_rejected(self):
-        problem = sphere(d=2)
+        problem = SphereProblem(d=2)
         solver = make_solver("randomsearch", problem.space, R=2, seed=0)
         pt = solver.suggest()
         with pytest.raises(ValueError, match="non-finite objective"):
             solver.observe(pt, float("nan"))
 
     def test_double_suggest_rejected(self):
-        solver = make_solver("randomsearch", sphere(d=2).space, R=2, seed=0)
+        solver = make_solver("randomsearch", SphereProblem(d=2).space, R=2, seed=0)
         solver.suggest()
         with pytest.raises(RuntimeError, match="not been observed"):
             solver.suggest()
 
     def test_observing_wrong_point_rejected(self):
-        problem = sphere(d=2)
+        problem = SphereProblem(d=2)
         solver = make_solver("randomsearch", problem.space, R=2, seed=0)
         solver.suggest()
         rogue = sample_uniform(problem.space, make_rng(99))
@@ -119,7 +119,7 @@ class TestLoopContracts:
             solver.observe(rogue, 1.0)
 
     def test_transcript_injection_without_pending(self):
-        problem = sphere(d=2)
+        problem = SphereProblem(d=2)
         solver = make_solver("forest-ucb", problem.space, R=2, seed=0)
         rng = make_rng(7)
         for _ in range(3):
@@ -130,7 +130,7 @@ class TestLoopContracts:
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_deterministic_given_seed(self, kind):
-        problem = pipe_proxy(d=3)
+        problem = PipeProblem(d=3)
         runs = []
         for _ in range(2):
             solver = make_solver(kind, problem.space, R=4, seed=77)
@@ -139,14 +139,14 @@ class TestLoopContracts:
         assert runs[0] == runs[1]
 
     def test_incumbent_is_the_cached_encoded_row(self):
-        problem = hpo_proxy(seed=0)
+        problem = HpoProblem(seed=0)
         solver = make_solver("rff-local", problem.space, R=20, seed=3)
         drive(solver, problem, 8)
         best = min(solver.history, key=lambda pair: pair[1])[0]
         assert solver._incumbent_encoded().tolist() == encode(problem.space, best).tolist()
 
     def test_distinct_seeds_diverge(self):
-        problem = pipe_proxy(d=3)
+        problem = PipeProblem(d=3)
         a = make_solver("randomsearch", problem.space, R=2, seed=1).suggest()
         b = make_solver("randomsearch", problem.space, R=2, seed=2).suggest()
         assert a != b
@@ -174,7 +174,7 @@ class TestGpUcbAcquisition:
             assert scores.max() - float(boundary[0]) <= 1e-6
 
     def test_argmax_over_frozen_candidates_without_refinement(self):
-        problem = pipe_proxy(d=3)
+        problem = PipeProblem(d=3)
         solver = make_solver("gp-ucb", problem.space, R=5, seed=9,
                              overrides={"refine": 0})
         drive(solver, problem, 5)
@@ -192,7 +192,7 @@ class TestGpUcbAcquisition:
         )
 
     def test_beta_override_changes_ranking(self):
-        problem = pipe_proxy(d=2)
+        problem = PipeProblem(d=2)
         greedy = make_solver("gp-ucb", problem.space, R=5, seed=3,
                              overrides={"beta": 0.0, "refine": 0})
         drive(greedy, problem, 5)
@@ -203,7 +203,7 @@ class TestGpUcbAcquisition:
 
 class TestForestUcbAcquisition:
     def test_argmax_over_audited_candidates(self):
-        problem = esp_proxy(n_slots=6, n_options=3, window=2, seed=1)
+        problem = EspProblem(n_slots=6, n_options=3, window=2, seed=1)
         solver = make_solver("forest-ucb", problem.space, R=6, seed=4)
         drive(solver, problem, 6)
         suggestion = solver.suggest()
@@ -218,7 +218,7 @@ class TestForestUcbAcquisition:
         )
 
     def test_candidate_set_size(self):
-        problem = sphere(d=2)
+        problem = SphereProblem(d=2)
         solver = make_solver("forest-ucb", problem.space, R=4, seed=2,
                              overrides={"uniform_candidates": 32,
                                         "mutations": 16})
@@ -228,8 +228,8 @@ class TestForestUcbAcquisition:
 
 
 class TestForestUcbCandidateMatrix:
-    @pytest.mark.parametrize("make_problem", [lambda: hpo_proxy(seed=0),
-                                              lambda: sphere(d=3)],
+    @pytest.mark.parametrize("make_problem", [lambda: HpoProblem(seed=0),
+                                              lambda: SphereProblem(d=3)],
                              ids=["hpo-proxy", "sphere"])
     def test_uniform_block_mutants_and_decoded_choice(self, make_problem):
         problem = make_problem()
@@ -319,8 +319,8 @@ def _fitted_rff_local(problem):
 
 
 class TestRffLocalDescent:
-    @pytest.mark.parametrize("make_problem", [lambda: pipe_proxy(d=10),
-                                              lambda: hpo_proxy(seed=0)],
+    @pytest.mark.parametrize("make_problem", [lambda: PipeProblem(d=10),
+                                              lambda: HpoProblem(seed=0)],
                              ids=["pipe-proxy-10", "hpo-proxy"])
     def test_descent_equals_reference_loop(self, make_problem):
         solver = _fitted_rff_local(make_problem())
@@ -334,8 +334,8 @@ class TestRffLocalDescent:
             assert steps.tobytes() == want_steps.tobytes()
             assert not np.array_equal(got, starts)
 
-    @pytest.mark.parametrize("make_problem", [lambda: pipe_proxy(d=10),
-                                              lambda: hpo_proxy(seed=0)],
+    @pytest.mark.parametrize("make_problem", [lambda: PipeProblem(d=10),
+                                              lambda: HpoProblem(seed=0)],
                              ids=["pipe-proxy-10", "hpo-proxy"])
     def test_ends_stay_in_their_trust_boxes(self, make_problem):
         solver = _fitted_rff_local(make_problem())
@@ -350,7 +350,7 @@ class TestRffLocalDescent:
             assert np.all((solver._lo <= ends) & (ends <= solver._hi))
 
     def test_converged_starts_stop_early(self):
-        problem = pipe_proxy(d=10)
+        problem = PipeProblem(d=10)
         solver = _fitted_rff_local(problem)
         drive(solver, problem, 1)
         steps = solver.last_proposal["steps"]
@@ -379,8 +379,8 @@ def _reference_gp_refit(solver, params):
 
 
 class TestGpUcbRefit:
-    @pytest.mark.parametrize("make_problem", [lambda: esp_proxy(seed=0),
-                                              lambda: hpo_proxy(seed=0)],
+    @pytest.mark.parametrize("make_problem", [lambda: EspProblem(seed=0),
+                                              lambda: HpoProblem(seed=0)],
                              ids=["esp-proxy", "hpo-proxy"])
     def test_refit_equals_reference(self, make_problem):
         problem = make_problem()
@@ -423,8 +423,8 @@ def _reference_coordinate_descent(solver, x):
 
 
 class TestPwlCoordinateDescent:
-    @pytest.mark.parametrize("make_problem", [lambda: pipe_proxy(d=10),
-                                              lambda: hpo_proxy(seed=0)],
+    @pytest.mark.parametrize("make_problem", [lambda: PipeProblem(d=10),
+                                              lambda: HpoProblem(seed=0)],
                              ids=["pipe-proxy-10", "hpo-proxy"])
     def test_descent_equals_reference_loop(self, make_problem):
         problem = make_problem()
@@ -440,7 +440,7 @@ class TestPwlCoordinateDescent:
 
 class TestPwlPair:
     def test_identical_models_on_identical_transcripts(self):
-        problem = pipe_proxy(d=4)
+        problem = PipeProblem(d=4)
         low = make_solver("pwl-low", problem.space, R=6, seed=11)
         high = make_solver("pwl-high", problem.space, R=6, seed=11)
         rng = make_rng(50)
@@ -454,13 +454,13 @@ class TestPwlPair:
         assert low.factor == 1.0 and high.factor == 4.0
 
     def test_thousand_bases_on_purely_continuous_space(self):
-        problem = pipe_proxy(d=10)
+        problem = PipeProblem(d=10)
         solver = make_solver("pwl-high", problem.space, R=3, seed=0)
         drive(solver, problem, 3)
         assert solver.model.n_basis == 1000
 
     def test_fewer_bases_on_mixed_space(self):
-        problem = esp_proxy(n_slots=5, n_options=3, window=2, seed=0)
+        problem = EspProblem(n_slots=5, n_options=3, window=2, seed=0)
         solver = make_solver("pwl-low", problem.space, R=3, seed=0)
         drive(solver, problem, 3)
         assert solver.model.n_basis == 512
@@ -470,7 +470,7 @@ class TestAdapters:
     def test_continuous_native_solver_runs_on_mixed_space(self):
         from sbobench.solvers import GpUcbSolver
 
-        problem = esp_proxy(n_slots=5, n_options=3, window=2, seed=0)
+        problem = EspProblem(n_slots=5, n_options=3, window=2, seed=0)
         solver = GpUcbSolver(problem.space, R=3, seed=0, candidates=64, refine=0)
         for _ in range(5):
             pt = solver.suggest()
@@ -496,7 +496,7 @@ class TestAdapters:
         assert pt[1] == "h"
 
     def test_adapted_gp_produces_only_valid_points_on_esp(self):
-        problem = esp_proxy(n_slots=6, n_options=4, window=3, seed=2)
+        problem = EspProblem(n_slots=6, n_options=4, window=3, seed=2)
         solver = make_solver("gp-ucb", problem.space, R=5, seed=8)
         for _ in range(12):
             pt = solver.suggest()
@@ -507,7 +507,7 @@ class TestAdapters:
 class TestMixedConditionalSpaces:
     @pytest.mark.parametrize("kind", ("randomsearch", "forest-ucb", "gp-ucb"))
     def test_solvers_run_on_conditional_space(self, kind):
-        problem = hpo_proxy(seed=0)
+        problem = HpoProblem(seed=0)
         solver = make_solver(kind, problem.space, R=5, seed=3)
         for _ in range(10):
             pt = solver.suggest()
@@ -524,7 +524,7 @@ class TestFactory:
 
     def test_unknown_kind_raises(self):
         with pytest.raises(KeyError):
-            make_solver("simulated-annealing", sphere(d=2).space, R=2, seed=0)
+            make_solver("simulated-annealing", SphereProblem(d=2).space, R=2, seed=0)
 
     def test_available_solvers_lists_all_six(self):
         assert set(available_solvers()) == set(ALL_KINDS)

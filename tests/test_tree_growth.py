@@ -24,7 +24,7 @@ import pytest
 
 from sbobench.analysis import rules
 from sbobench.core import SearchSpace, VariableSpec, make_rng, sample_uniform
-from sbobench.problems import esp_proxy
+from sbobench.problems import EspProblem
 from sbobench.surrogates import BoostedTreesModel, fit_boosted, fit_forest
 from sbobench.surrogates import trees
 from sbobench.surrogates.encoding import encode_points
@@ -293,7 +293,7 @@ def test_small_batches_match_heap_grower(monkeypatch, kind):
 
 def test_forest_fit_memory_stays_capped():
     """The scan batches bound the grower's memory, not the forest's size."""
-    problem = esp_proxy(seed=0)
+    problem = EspProblem(seed=0)
     rng = make_rng(5)
     points = [sample_uniform(problem.space, rng) for _ in range(150)]
     X = encode_points(problem.space, points)
@@ -311,6 +311,8 @@ def test_forest_fit_memory_stays_capped():
 @pytest.mark.parametrize("lower, upper", [
     (np.nextafter(1.0, 2.0), np.nextafter(np.nextafter(1.0, 2.0), 2.0)),  # midpoint rounds up
     (1.0, np.nan),
+    (-np.inf, np.inf),  # the midpoint is NaN
+    (1e308, 1.7e308),  # the sum overflows
 ])
 def test_threshold_stays_below_the_upper_value(lower, upper):
     X, y = np.array([[lower], [upper]]), np.array([0.0, 1.0])
