@@ -7,17 +7,19 @@ Usage shape::
 Positional tokens are one problem, at least one solver, and optional
 override strings of the form ``kind.param=value`` where ``kind`` is a
 solver token or the problem token (e.g. ``gp-ucb.beta=1.0`` or
-``pipe-proxy.d=5``).  Exit codes: 0 success, 1 if any run aborted on an
-evaluation error (a failed external command or a non-finite objective)
-or a solver fit error (the run keeps its partial log and note), 2 on a
-usage error.
+``pipe-proxy.d=5``).  The CLI only routes tokens; ExperimentConfig
+checks the experiment, building the problem and each solver once.  Exit
+codes: 0 success, 1 if any run aborted on an evaluation error (a failed
+external command or a non-finite objective) or a solver fit error (the
+run keeps its partial log and note), 2 on a usage error, such as an
+unknown token or a parameter name or value that is refused.
 """
 
 import argparse
 import os
 import sys
 
-from ..solvers import available_solvers, canonical_kind
+from ..solvers import canonical_kind
 from .config import ExperimentConfig
 from .runner import run_experiment
 
@@ -66,52 +68,36 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def parse_args(argv=None) -> ExperimentConfig:
-    """Map CLI arguments onto an ExperimentConfig (no side effects)."""
+    """Route CLI tokens into an ExperimentConfig, whose ValueError becomes UsageError."""
     args = _build_parser().parse_args(argv)
 
-    problem = None
-    solvers = []
-    raw_overrides = []
+    problem, solvers, assignments = None, [], []
     for token in args.tokens:
-        head = token.split("=", 1)[0]
-        if "=" in token and "." in head:
-            raw_overrides.append(token)
+        if "=" in token and "." in token.split("=", 1)[0]:
+            assignments.append(token)
         elif problem is None:
             problem = token
         else:
-            try:
-                solvers.append(canonical_kind(token))
-            except KeyError:
-                raise UsageError(
-                    f"unknown solver {token!r}; available: "
-                    f"{', '.join(available_solvers())}") from None
+            solvers.append(token)
     if problem is None:
         raise UsageError("a problem token is required")
-    if not solvers:
-        raise UsageError("at least one solver token is required")
 
-    problem_params = {}
-    overrides = {}
-    for token in raw_overrides:
+    problem_params, overrides = {}, {}
+    for token in assignments:
         target, assignment = token.split(".", 1)
         name, _, value = assignment.partition("=")
         if not name or not value:
             raise UsageError(f"malformed override {token!r}; "
                              "expected kind.param=value")
-        parsed = _parse_value(value)
         if target == problem:
-            problem_params[name] = parsed
+            params = problem_params
         else:
-            try:
-                kind = canonical_kind(target)
+            try:  # by alias or kind, one solver's overrides; the config refuses the rest
+                target = canonical_kind(target)
             except KeyError:
-                raise UsageError(
-                    f"override {token!r} names neither the problem nor a "
-                    "known solver") from None
-            if kind not in solvers:
-                raise UsageError(f"override {token!r} targets a solver that "
-                                 "is not part of this experiment")
-            overrides.setdefault(kind, {})[name] = parsed
+                pass
+            params = overrides.setdefault(target, {})
+        params[name] = _parse_value(value)
 
     try:
         return ExperimentConfig(

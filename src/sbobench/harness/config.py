@@ -3,8 +3,9 @@
 from dataclasses import dataclass, field
 from typing import Mapping
 
-from ..problems import available_problems
-from ..solvers import canonical_kind
+from ..core.rng import derive_seed
+from ..problems import make_problem
+from ..solvers import canonical_kind, make_solver
 
 
 @dataclass(frozen=True)
@@ -16,8 +17,9 @@ class ExperimentConfig:
     evaluation-count cap still applies as a ceiling.  ``solvers`` may use
     aliases and is stored as canonical kinds.  ``overrides`` maps a
     solver of the experiment, by kind or alias, to parameter overrides,
-    and is stored keyed by kind; problem parameters travel in
-    ``problem_params``.
+    and is stored keyed by kind; ``problem_params`` has no ``seed``
+    (``base_seed`` sets it).  The problem and each solver are built once
+    here, so a bad token or parameter raises ``ValueError`` before any run.
     """
 
     problem: str
@@ -34,14 +36,14 @@ class ExperimentConfig:
     overrides: Mapping = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.problem not in available_problems():
-            raise ValueError(f"unknown problem {self.problem!r}; available: "
-                             f"{', '.join(available_problems())}")
         if not self.solvers:
             raise ValueError("at least one solver is required")
         kinds = []
         for token in self.solvers:
-            kind = canonical_kind(token)
+            try:
+                kind = canonical_kind(token)
+            except KeyError as err:
+                raise ValueError(err.args[0]) from None
             if kind in kinds:
                 alias = f" ({token!r} is an alias of it)" if token != kind else ""
                 raise ValueError(f"solver {kind!r} is given more than once{alias}")
@@ -71,3 +73,19 @@ class ExperimentConfig:
             raise ValueError("budget_seconds must be non-negative")
         if self.jobs < 1:
             raise ValueError("jobs must be at least 1")
+        if "seed" in self.problem_params:
+            raise ValueError(f"{self.problem}.seed is refused: --seed (base_seed) sets it")
+        try:
+            what, params = f"problem {self.problem!r}", self.problem_params
+            problem = self.make_problem()
+            for kind in kinds:
+                what, params = f"solver {kind!r}", overrides.get(kind, {})
+                make_solver(kind, problem.space, R=self.rand_init, seed=0, overrides=params)
+        except (KeyError, TypeError, ValueError) as err:
+            reason = err.args[0] if isinstance(err, KeyError) else err
+            raise ValueError(f"{what} with {dict(params)} cannot be built: {reason}") from None
+
+    def make_problem(self):
+        """Build the experiment's problem, seeded from ``base_seed`` and its token."""
+        return make_problem(self.problem, seed=derive_seed(self.base_seed, "problem", self.problem),
+                            **dict(self.problem_params))

@@ -33,7 +33,7 @@ from pathlib import Path
 
 from ..core import RunLog, write_run_log
 from ..core.rng import derive_seed
-from ..problems import EvaluationError, make_problem
+from ..problems import EvaluationError
 from ..solvers import make_solver
 from ..surrogates import FitError
 from .config import ExperimentConfig
@@ -71,8 +71,7 @@ def run_single(problem, solver, max_eval, budget_seconds=None, virtual_time=Fals
         try:
             objective, eval_time = problem.evaluate(point, virtual=virtual_time)
         except EvaluationError as err:
-            aborted = True
-            note = str(err)
+            aborted, note = True, str(err)
             break
         finally:
             if release:
@@ -127,7 +126,6 @@ def run_experiment(cfg: ExperimentConfig):
     ``solver_time`` is not inflated by other jobs.  A real-time budget
     clock starts when the job first holds the lock.
     """
-    problem_seed = derive_seed(cfg.base_seed, "problem", cfg.problem)
     out_dir = Path(cfg.out_path)
     out_dir.mkdir(parents=True, exist_ok=True)
     header = {
@@ -143,8 +141,7 @@ def run_experiment(cfg: ExperimentConfig):
         kind, repetition = task
         seed = derive_seed(cfg.base_seed, kind, repetition)
         with lock or nullcontext():
-            problem = make_problem(cfg.problem, seed=problem_seed,
-                                   **dict(cfg.problem_params))
+            problem = cfg.make_problem()
             problem.seed_noise(derive_seed(cfg.base_seed, "noise", kind, repetition))
             solver_overrides = dict(cfg.overrides.get(kind, {}))
             solver = make_solver(kind, problem.space, R=cfg.rand_init, seed=seed,
@@ -157,8 +154,7 @@ def run_experiment(cfg: ExperimentConfig):
             write_run_log(log, problem.space, path, extra=header)
         return path, (log.note if log.aborted else None)
 
-    tasks = [(kind, t) for kind in cfg.solvers
-             for t in range(1, cfg.repetitions + 1)]
+    tasks = [(kind, t) for kind in cfg.solvers for t in range(1, cfg.repetitions + 1)]
     if cfg.jobs > 1:
         with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
             results = list(pool.map(one, tasks))

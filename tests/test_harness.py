@@ -26,12 +26,13 @@ from sbobench.problems import (
     EvaluationError,
     Problem,
     SphereProblem,
+    available_problems,
     register_problem,
     unregister_problem,
     with_delay,
 )
 from sbobench.problems.external import SubprocessProblem
-from sbobench.solvers import Solver, make_solver, pwl
+from sbobench.solvers import Solver, available_solvers, make_solver, pwl
 from sbobench.surrogates import FitError
 
 
@@ -294,6 +295,59 @@ class TestConfigAliases:
         assert not out.exists()
 
 
+# Each refused call: its tokens, the config fields they give, and the key to name.
+BAD_PARAMETERS = (
+    (("pipe-proxy", "randomsearch", "pipe-proxy.dd=3"),
+     dict(problem="pipe-proxy", solvers=("randomsearch",), problem_params={"dd": 3}), "dd"),
+    (("esp-proxy", "randomsearch", "esp-proxy.seed=3"),
+     dict(problem="esp-proxy", solvers=("randomsearch",), problem_params={"seed": 3}), "seed"),
+    (("sphere", "gp-ucb", "gp-ucb.betta=1"),
+     dict(problem="sphere", solvers=("gp-ucb",), overrides={"gp-ucb": {"betta": 1}}), "betta"),
+    (("sphere", "gp-ucb", "gp-ucb.beta=abc"),
+     dict(problem="sphere", solvers=("gp-ucb",), overrides={"gp-ucb": {"beta": "abc"}}), "beta"),
+    (("pipe-proxy", "randomsearch", "pipe-proxy.d=-2"),
+     dict(problem="pipe-proxy", solvers=("randomsearch",), problem_params={"d": -2}), "'d'"),
+)
+BAD_IDS = [tokens[-1] for tokens, _, _ in BAD_PARAMETERS]
+
+
+class TestOneGate:
+    """The config builds the problem and each solver once, before any output."""
+
+    FLAGS = ["--max-eval=5", "--rand-evals-all=2", "--virtual-time"]
+
+    @pytest.mark.parametrize("tokens, fields, key", BAD_PARAMETERS, ids=BAD_IDS)
+    def test_bad_parameter_exits_two_before_any_output(self, tmp_path, capsys, tokens,
+                                                       fields, key):
+        out = tmp_path / "out"
+        assert main([*self.FLAGS, f"--out-path={out}", *tokens]) == 2
+        assert key in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("tokens, fields, key", BAD_PARAMETERS, ids=BAD_IDS)
+    def test_bad_parameter_refused_by_config(self, tokens, fields, key):
+        with pytest.raises(ValueError, match=key):
+            ExperimentConfig(**fields)
+
+    @pytest.mark.parametrize("jobs", (1, 2))
+    def test_bad_solver_parameter_writes_no_file(self, tmp_path, capsys, jobs):
+        out = tmp_path / "out"
+        code = main([*self.FLAGS, "--repetitions=2", f"--jobs={jobs}", f"--out-path={out}",
+                     "sphere", "randomsearch", "gp-ucb", "gp-ucb.betta=1"])
+        assert code == 2
+        assert "solver 'gp-ucb' with {'betta': 1} cannot be built" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("problem", available_problems())
+    def test_every_builtin_pair_builds_with_defaults_and_writes_nothing(
+            self, tmp_path, monkeypatch, problem):
+        monkeypatch.chdir(tmp_path)
+        cfg = ExperimentConfig(problem=problem, solvers=available_solvers(),
+                               out_path=str(tmp_path / "out"))
+        assert cfg.solvers == available_solvers()
+        assert list(tmp_path.iterdir()) == []
+
+
 def _max_in_flight(monkeypatch, owner, name):
     """Patch ``owner.name`` to count concurrent calls; returns the running maximum."""
     original = getattr(owner, name)
@@ -366,12 +420,13 @@ class TestJobsLock:
         built = []
 
         class FailsOnThirdCall(Problem):
-            # The first problem built fails on its third evaluation; the other never does.
+            # The config builds the first instance, to check it; of the two the runs
+            # build, the first fails on its third evaluation and the other never does.
             delay = 0.01
 
             def __init__(self):
                 super().__init__("fails-third", SphereProblem(d=2).space)
-                self.fails = not built
+                self.fails = len(built) == 1
                 self.calls = 0
                 built.append(self)
 
@@ -444,8 +499,16 @@ class TestCliParsing:
         cfg = parse_args("pipe-proxy randomsearch".split())
         assert cfg.out_path == "/tmp/sbobench-results"
 
+    def test_alias_and_kind_overrides_merge_into_one_solver(self):
+        cfg = parse_args("sphere pwl-low pwl-low.grid=9 pwl_low_explore.sweeps=1".split())
+        assert cfg.overrides == {"pwl-low": {"grid": 9, "sweeps": 1}}
+
+    def test_alias_only_override_routes_to_its_kind(self):
+        cfg = parse_args("sphere pwl-low pwl_low_explore.grid=9".split())
+        assert cfg.overrides == {"pwl-low": {"grid": 9}}
+
     def test_override_for_absent_solver_rejected(self):
-        with pytest.raises(UsageError, match="not part of this experiment"):
+        with pytest.raises(UsageError, match="'gp-ucb' names no solver of this experiment"):
             parse_args("pipe-proxy randomsearch gp-ucb.beta=1.0".split())
 
     @pytest.mark.parametrize("repeat", ("randomsearch", "random_search"))
