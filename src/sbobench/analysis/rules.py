@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..core import make_rng
-from ..surrogates.trees import LEAF, NodeArrays, grow
+from ..surrogates.trees import LEAF, NodeArrays, grow, number_trees
 from .replay import ReplayGrid
 
 FEATURE_NAMES = (
@@ -120,8 +120,9 @@ def grow_tree(X, y, max_leaves: int = MAX_LEAVES, max_depth: int = MAX_DEPTH) ->
     X, y = _labelled(X, y)
     labels, y_idx = np.unique(y, return_inverse=True)
     one_hot = [y_idx == i for i in range(labels.size)]
-    (nodes,) = grow(X, y_idx, one_hot, gini_cost, _majority, [np.arange(y_idx.size)],
-                    max_depth=max_depth, max_leaves=max_leaves)
+    table = grow(X, y_idx, one_hot, gini_cost, _majority, [np.arange(y_idx.size)],
+                 max_depth=max_depth, max_leaves=max_leaves)
+    (nodes,) = number_trees(1, *table, max_leaves)
     return RulesTree(*nodes, labels=tuple(labels.tolist()))
 
 

@@ -29,6 +29,14 @@ from ..core.rng import derive_seed, make_rng
 from ..surrogates.encoding import encode, encoded_bounds, nearest_point
 
 
+def at_least(name: str, value, minimum: int = 1) -> int:
+    """``value`` as an integer, refused below ``minimum``: a solver's count check."""
+    value = int(value)
+    if value < minimum:
+        raise ValueError(f"{name} must be at least {minimum}")
+    return value
+
+
 class Solver:
     """Base class holding loop state shared by every solver kind."""
 

@@ -20,7 +20,7 @@ import numpy as np
 from ..surrogates.encoding import sample_encoded
 from ..surrogates.forest import fit_forest
 from .acquisition import DEFAULT_BETA, ucb_score
-from .base import Solver
+from .base import Solver, at_least
 
 
 class ForestUcbSolver(Solver):
@@ -31,10 +31,11 @@ class ForestUcbSolver(Solver):
                  elites=4):
         super().__init__(space, R, seed)
         self.beta = float(beta)
-        self.n_trees = int(n_trees)
-        self.uniform_candidates = int(uniform_candidates)
-        self.mutations = int(mutations)
-        self.elites = int(elites)
+        self.n_trees = at_least("n_trees", n_trees)
+        self.uniform_candidates = at_least("uniform_candidates", uniform_candidates, 0)
+        self.mutations = at_least("mutations", mutations, 0)
+        at_least("uniform_candidates plus mutations", self.uniform_candidates + self.mutations)
+        self.elites = at_least("elites", elites)
 
     def _refit(self) -> None:
         self.model = fit_forest(self.space, *self._encoded_history(),

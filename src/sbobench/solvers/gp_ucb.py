@@ -21,7 +21,7 @@ import numpy as np
 from ..core.rng import derive_seed
 from ..surrogates.gp import fit_gp
 from .acquisition import DEFAULT_BETA, ucb_score
-from .base import Solver
+from .base import Solver, at_least
 
 
 class GpUcbSolver(Solver):
@@ -32,10 +32,10 @@ class GpUcbSolver(Solver):
                  hyper_interval=20, multistarts=4, steps=100):
         super().__init__(space, R, seed)
         self.beta = float(beta)
-        self.n_candidates = int(candidates)
+        self.n_candidates = at_least("candidates", candidates)
         self.n_refine = int(refine)
         self.refine_steps = int(refine_steps)
-        self.hyper_interval = int(hyper_interval)
+        self.hyper_interval = at_least("hyper_interval", hyper_interval)
         self.multistarts = int(multistarts)
         self.steps = int(steps)
         self._params = None

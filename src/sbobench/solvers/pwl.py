@@ -14,7 +14,7 @@ down; continuous ones add Gaussian noise with a tenth of the range.
 import numpy as np
 
 from ..surrogates.least_squares import fit_least_squares
-from .base import Solver
+from .base import Solver, at_least
 
 
 class PwlSolver(Solver):
@@ -26,7 +26,7 @@ class PwlSolver(Solver):
         if n_basis is None:
             continuous = all(v.kind == "continuous" for v in space.variables)
             n_basis = 1000 if continuous else 512
-        self.n_basis = int(n_basis)
+        self.n_basis = at_least("n_basis", n_basis)
         self.ridge = float(ridge)
         self.sweeps = int(sweeps)
         self.grid = int(grid)
@@ -50,16 +50,27 @@ class PwlSolver(Solver):
         """Walk the coordinates in turn, each to its best grid value.  The
         hinge phases ``A = x W' + b`` are formed once; moving coordinate
         ``j`` by ``delta`` gives ``A + delta W[:, j]``, taken from one
-        contiguous copy of ``W'``."""
+        contiguous copy of ``W'``.  Each step multiplies into a contiguous
+        trial buffer, adds the phases there, and writes the hinges into a
+        design buffer; both are allocated once per descent, and a grid
+        uses their leading rows."""
         x = x.copy()
-        WT = self.model.W.T.copy()
-        phases = self.model.phases(x)[0]
+        model = self.model
+        WT, c = model.W.T.copy(), model.coefficients
+        phases = model.phases(x)[0]
+        rows = max(len(column) for column in self._columns)
+        trials = np.empty((rows, len(phases)))
+        design = np.empty((rows, len(c)))
+        design[:, 0] = 1.0
         for _ in range(self.sweeps):
             for j, column in enumerate(self._columns):
                 column[-1] = x[j]  # the last entry keeps the current value
-                trial_phases = phases + (column - x[j])[:, None] * WT[j]
-                best = int(np.argmin(self.model.phase_values(trial_phases)))
-                x[j], phases = column[best], trial_phases[best]
+                trial, F = trials[:len(column)], design[:len(column)]
+                np.multiply((column - x[j])[:, None], WT[j], out=trial)
+                trial += phases
+                np.maximum(trial, 0.0, out=F[:, 1:])
+                best = int(np.argmin(F @ c))
+                x[j], phases = column[best], trial[best].copy()
         return x
 
     def _perturb(self, x: np.ndarray) -> np.ndarray:

@@ -23,7 +23,7 @@ Each descent is local:
 import numpy as np
 
 from ..surrogates.least_squares import fit_least_squares
-from .base import Solver
+from .base import Solver, at_least
 
 STOP_FRACTION = 1e-3
 
@@ -35,10 +35,10 @@ class RffLocalSolver(Solver):
                  ridge=1e-6, starts=8, descent_steps=100,
                  jitter_scale=0.1, explore_scale=0.02):
         super().__init__(space, R, seed)
-        self.n_basis = int(n_basis)
+        self.n_basis = at_least("n_basis", n_basis)
         self.ridge = float(ridge)
-        self.starts = int(starts)
-        self.descent_steps = int(descent_steps)
+        self.starts = at_least("starts", starts)
+        self.descent_steps = at_least("descent_steps", descent_steps, 0)
         self.jitter_scale = float(jitter_scale)
         self.explore_scale = float(explore_scale)
 
@@ -54,44 +54,59 @@ class RffLocalSolver(Solver):
 
         The starts still descending keep their point, step, trust box,
         value and weighted slopes ``coefficients[1:] * phase_slopes`` in
-        compact arrays, so a step is one gradient product with ``W`` and
-        one batch of trial phases; the slopes are formed only for the
-        accepted trials, and the arrays are compressed only when a start
-        stops."""
+        compact arrays, so a step is one gradient product with ``W``, one
+        batch of trial phases, and one product with the coefficients of
+        their design rows, whose cosines are written into a buffer the
+        descent owns.  Accepted trials replace their starts' rows, all
+        rows at once when every trial is accepted, and the slopes are
+        formed only for them.  The arrays are compressed only when a start
+        stops, and its step count is recorded then."""
         model = self.model
-        weights = model.coefficients[1:]
+        W, b, c = model.W, model.b, model.coefficients
+        neg_weights = -c[1:]  # -c * sin(A) equals c * -sin(A) bit for bit
         radius = self.jitter_scale * (self._hi - self._lo)
         lower = np.maximum(self._lo, starts - radius)
         upper = np.minimum(self._hi, starts + radius)
         tol = STOP_FRACTION * np.max(radius)
         ends = starts.copy()
-        steps = np.zeros(len(starts), dtype=int)
+        steps = np.full(len(starts), self.descent_steps)
         x = starts.copy()
         step = np.full(len(x), np.max(radius))
-        phases = model.phases(x)
-        value = model.phase_values(phases)
-        weighted = weights * model.phase_slopes(phases)
+        # Design rows of the active starts' phases, the constant column first;
+        # a compressed batch uses the leading rows, so the product keeps the
+        # batch's row count.
+        design = np.empty((len(x), len(c)))
+        design[:, 0] = 1.0
+        phases = x @ W.T + b
+        np.cos(phases, out=design[:, 1:])
+        value = design @ c
+        weighted = neg_weights * np.sin(phases)
         index = np.arange(len(x))
-        for _ in range(self.descent_steps):
+        for taken in range(1, self.descent_steps + 1):
             if not len(index):
                 break
-            grad = weighted @ model.W
-            norm = np.linalg.norm(grad, axis=1, keepdims=True)
+            grad = weighted @ W
+            norm = np.sqrt(np.add.reduce(grad * grad, axis=1, keepdims=True))
             norm[norm == 0] = 1.0
-            trial = np.clip(x - step[:, None] * grad / norm, lower, upper)
-            trial_phases = model.phases(trial)
-            trial_value = model.phase_values(trial_phases)
+            trial = np.minimum(np.maximum(x - step[:, None] * grad / norm, lower), upper)
+            trial_phases = trial @ W.T + b
+            rows = design[:len(index)]
+            np.cos(trial_phases, out=rows[:, 1:])
+            trial_value = rows @ c
             move = np.max(np.abs(trial - x), axis=1)
             better = trial_value < value
-            if better.any():
+            if better.all():
+                x, value, weighted = trial, trial_value, neg_weights * np.sin(trial_phases)
+            elif better.any():
                 x[better] = trial[better]
                 value[better] = trial_value[better]
-                weighted[better] = weights * model.phase_slopes(trial_phases[better])
+                weighted[better] = neg_weights * np.sin(trial_phases[better])
             step = np.where(better, step * 1.1, step * 0.5)
-            steps[index] += 1
             going = (step > tol) & (move > tol)
             if not going.all():
-                ends[index] = x
+                stopped = ~going
+                ends[index[stopped]] = x[stopped]
+                steps[index[stopped]] = taken
                 x, step, lower, upper, value, weighted, index = (
                     a[going] for a in (x, step, lower, upper, value, weighted, index))
         ends[index] = x

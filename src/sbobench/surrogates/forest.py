@@ -1,11 +1,16 @@
-"""Bagged regression forest with across-tree predictive variance."""
+"""Bagged regression forest with across-tree predictive variance.
+
+The model keeps the grower's level-order node table over all its trees
+(``trees.grow``), node t being tree t's root, so one ``route`` from
+every root gives the (trees, rows) matrix of predictions in tree order.
+"""
 
 import numpy as np
 
 from sbobench.core.rng import make_rng
 from sbobench.core.space import SearchSpace
 from sbobench.surrogates.base import SurrogateModel
-from sbobench.surrogates.trees import RegressionTree, TreeStack, build_regression_trees
+from sbobench.surrogates.trees import RegressionTree, grow_regression
 
 
 class RandomForestModel(SurrogateModel):
@@ -13,12 +18,12 @@ class RandomForestModel(SurrogateModel):
 
     family = "random_forest"
 
-    def __init__(self, trees: list[RegressionTree]):
-        self.trees = trees
-        self._stack = TreeStack(trees)
+    def __init__(self, nodes: RegressionTree, n_trees: int):
+        self.nodes = nodes
+        self.n_trees = n_trees
 
     def _tree_matrix(self, X: np.ndarray) -> np.ndarray:
-        return self._stack.predict(X)
+        return self.nodes.value[self.nodes.route(X, np.arange(self.n_trees))]
 
     def predict_encoded(self, X: np.ndarray) -> np.ndarray:
         return self._tree_matrix(X).mean(axis=0)
@@ -42,7 +47,7 @@ def fit_forest(
     with ``min_leaf=1`` memorises its training data exactly); the
     remaining trees each see a bootstrap resample drawn from the seeded
     stream, which is what gives the ensemble its predictive spread.  All
-    trees are grown together, a level at a time.
+    trees are grown together, a level at a time, into one node table.
     """
     if n_trees < 1:
         raise ValueError("n_trees must be at least 1")
@@ -51,5 +56,5 @@ def fit_forest(
     rng = make_rng(seed)
     n = len(X)
     roots = [np.arange(n)] + [rng.integers(0, n, size=n) for _ in range(n_trees - 1)]
-    trees = build_regression_trees(X, y, roots, min_leaf=min_leaf)
-    return RandomForestModel(trees)
+    *table, _ = grow_regression(X, y, roots, min_leaf=min_leaf)
+    return RandomForestModel(RegressionTree(*table), n_trees)

@@ -6,13 +6,16 @@ ties go to the lowest feature, then the lowest threshold, so a tree is a
 pure function of its inputs.
 
 Trees grow one level at a time: every pending node of every tree being
-grown is scanned in a few batched passes, and the nodes are numbered
-afterwards in best-first order (lowest split cost first), the order in
-which a one-node-at-a-time heap grower would have created them.  Each
-node keeps its rows in row order, and each scan batch sorts its nodes'
-values of every feature stably.  A grow call ranks each feature once;
-batches at least ``_RADIX_WIDTH`` rows wide sort those small integer
-ranks, which numpy radix-sorts, in the order the values would sort.
+grown is scanned in a few batched passes.  ``grow`` returns one
+level-order node table over all the trees, which the forest routes as
+it is; ``number_trees`` numbers single, boosted and rules trees in
+best-first order (lowest split cost first), the order in which a
+one-node-at-a-time heap grower would have created them, and applies the
+rules tree's leaf cap.  Each node keeps its rows in row order, and each
+scan batch sorts its nodes' values of every feature stably.  A grow call
+ranks each feature once; batches at least ``_RADIX_WIDTH`` rows wide
+sort those small integer ranks, which numpy radix-sorts, in the order
+the values would sort.
 """
 
 import heapq
@@ -328,15 +331,15 @@ def _best_first(root, found, score, child, max_leaves, order, splits):
             order.append(kid)
 
 
-def _number_trees(n_trees, found, score, feature, threshold, values, max_leaves):
+def number_trees(n_trees, feature, threshold, left, right, values, score, max_leaves=None):
     """Each tree's node arrays and values, its nodes numbered best-first.
 
-    Nodes are given level by level, roots first; the j-th node that
-    splits has its children at n_trees + 2j and n_trees + 2j + 1.
+    Takes ``grow``'s level-order table and split costs, whose first
+    ``n_trees`` nodes are the roots, and replays best-first growth from
+    each root up to ``max_leaves`` leaves.
     """
-    child = n_trees + 2 * (np.cumsum(found) - 1)
     order, splits, bounds, split_bounds = [], [], [0], [0]
-    found_list, score_list, child_list = found.tolist(), score.tolist(), child.tolist()
+    found_list, score_list, child_list = (feature != LEAF).tolist(), score.tolist(), left.tolist()
     for root in range(n_trees):
         _best_first(root, found_list, score_list, child_list, max_leaves, order, splits)
         bounds.append(len(order))
@@ -345,29 +348,37 @@ def _number_trees(n_trees, found, score, feature, threshold, values, max_leaves)
     # The q-th split of a tree creates its children at positions 2q + 1 and 2q + 2.
     split_bounds = np.array(split_bounds)
     q = np.arange(splits.size) - np.repeat(split_bounds[:-1], np.diff(split_bounds))
-    left = np.full(order.size, LEAF)
-    left[splits] = 1 + 2 * q
-    right = np.where(left == LEAF, LEAF, left + 1)
+    new_left = np.full(order.size, LEAF)
+    new_left[splits] = 1 + 2 * q
+    new_right = np.where(new_left == LEAF, LEAF, new_left + 1)
     new_feature = np.full(order.size, LEAF)
     new_feature[splits] = feature[order[splits]]
     new_threshold = np.zeros(order.size)
     new_threshold[splits] = threshold[order[splits]]
-    arrays = (new_feature, new_threshold, left, right, values[order])
+    arrays = (new_feature, new_threshold, new_left, new_right, values[order])
     return [tuple(a[lo:hi] for a in arrays) for lo, hi in zip(bounds[:-1], bounds[1:])]
 
 
 def grow(X, y, stats, cost, value, roots, min_leaf=1, max_depth=None, max_leaves=None):
-    """Grow one tree per row set in ``roots``; return each tree's node arrays and values.
+    """Grow one tree per row set in ``roots``; return their level-order node table.
 
     Tree t is grown on rows ``roots[t]`` of X (repeats allowed, order
     kept), all trees a level at a time.  ``cost`` scores splits from the
     per-row ``stats`` of targets ``y``; ``value(targets, sizes)`` maps
     every node's targets, node by node and each node's in row order, to
     the nodes' values.  A node stays a leaf with fewer than ``2 * min_leaf``
-    rows, equal targets, at ``max_depth``, or with no valid split.  Nodes
-    are numbered best-first, lowest split cost first, and growth stops at
-    ``max_leaves`` leaves.  A NaN in X, or a root that is empty or lists
-    a row X lacks, raises ``ValueError``.
+    rows, equal targets, at ``max_depth``, or with no valid split.  A NaN
+    in X, or a root that is empty or lists a row X lacks, raises
+    ``ValueError``.
+
+    The table is the arrays (feature, threshold, left, right, values,
+    cost) over every node of every tree, level by level, so node t is
+    tree t's root; the j-th node that splits has its children at
+    ``len(roots) + 2j`` and ``len(roots) + 2j + 1``, and a leaf has
+    threshold 0 and infinite cost.  ``route(X, range(len(roots)))`` on
+    it routes every tree at once.  ``max_leaves`` only caps the depth
+    here: ``number_trees`` numbers each tree best-first, lowest split
+    cost first, and stops it at ``max_leaves`` leaves.
     """
     if max_leaves is not None:
         # A node at depth max_leaves - 1 is created with max_leaves leaves already.
@@ -411,24 +422,31 @@ def grow(X, y, stats, cost, value, roots, min_leaf=1, max_depth=None, max_leaves
         found, _, feature, threshold = level[2:]
         samples, sizes = _partition(XT, samples, sizes, found, feature, threshold)
     sizes, targets, found, score, feature, threshold = (np.concatenate(a) for a in zip(*levels))
-    return _number_trees(len(roots), found, score, feature, threshold,
-                         value(targets, sizes), max_leaves)
+    left = np.where(found, len(roots) + 2 * (found.cumsum() - 1), LEAF)
+    return (np.where(found, feature, LEAF), np.where(found, threshold, 0.0), left,
+            np.where(found, left + 1, LEAF), value(targets, sizes), score)
 
 
-def build_regression_trees(X: np.ndarray, y: np.ndarray, roots, min_leaf: int = 1,
-                           max_depth: int | None = None) -> list[RegressionTree]:
-    """Squared-error trees grown together, tree t on rows ``roots[t]`` of X and y."""
+def grow_regression(X, y, roots, min_leaf=1, max_depth=None):
+    """Squared-error trees grown together, tree t on rows ``roots[t]`` of X and y,
+    as ``grow``'s level-order table."""
     X, y = np.asarray(X, dtype=float), np.asarray(y, dtype=float)
     if X.ndim != 2 or X.shape[0] != y.size or X.shape[0] == 0:
         raise ValueError("X must be (n, d) with matching targets")
     if min_leaf < 1:
         raise ValueError("min_leaf must be at least 1")
-    return [RegressionTree(*nodes)
-            for nodes in grow(X, y, (y, y * y), sse_cost, _means, roots, min_leaf, max_depth)]
+    return grow(X, y, (y, y * y), sse_cost, _means, roots, min_leaf, max_depth)
+
+
+def build_regression_trees(X: np.ndarray, y: np.ndarray, roots, min_leaf: int = 1,
+                           max_depth: int | None = None) -> list[RegressionTree]:
+    """Squared-error trees grown together, tree t on rows ``roots[t]`` of X and y."""
+    table = grow_regression(X, y, roots, min_leaf, max_depth)
+    return [RegressionTree(*nodes) for nodes in number_trees(len(roots), *table)]
 
 
 def build_regression_tree(X: np.ndarray, y: np.ndarray, min_leaf: int = 1,
                           max_depth: int | None = None) -> RegressionTree:
     """Grow a deterministic squared-error tree to purity or the caps."""
-    # A y that does not match X's rows fails build_regression_trees' checks.
+    # A y that does not match X's rows fails grow_regression's checks.
     return build_regression_trees(X, y, [np.arange(np.size(y))], min_leaf, max_depth)[0]

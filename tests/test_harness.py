@@ -307,6 +307,21 @@ BAD_PARAMETERS = (
      dict(problem="sphere", solvers=("gp-ucb",), overrides={"gp-ucb": {"beta": "abc"}}), "beta"),
     (("pipe-proxy", "randomsearch", "pipe-proxy.d=-2"),
      dict(problem="pipe-proxy", solvers=("randomsearch",), problem_params={"d": -2}), "'d'"),
+    *(((("sphere", "randomsearch", kind, f"{kind}.{name}={value}"),
+        dict(problem="sphere", solvers=("randomsearch", kind), overrides={kind: {name: value}}),
+        f"{name} must be at least 1"))
+      for kind, name, value in (("forest-ucb", "n_trees", 0), ("forest-ucb", "elites", 0),
+                                ("gp-ucb", "candidates", 0), ("gp-ucb", "hyper_interval", 0),
+                                ("rff-local", "starts", 0), ("rff-local", "n_basis", 0),
+                                ("pwl-low", "n_basis", 0), ("pwl-high", "n_basis", -3))),
+    (("sphere", "randomsearch", "forest-ucb", "forest-ucb.uniform_candidates=0",
+      "forest-ucb.mutations=0"),
+     dict(problem="sphere", solvers=("randomsearch", "forest-ucb"),
+          overrides={"forest-ucb": {"uniform_candidates": 0, "mutations": 0}}),
+     "uniform_candidates plus mutations must be at least 1"),
+    (("sphere", "rff-local", "rff-local.descent_steps=-1"),
+     dict(problem="sphere", solvers=("rff-local",), overrides={"rff-local": {"descent_steps": -1}}),
+     "descent_steps must be at least 0"),
 )
 BAD_IDS = [tokens[-1] for tokens, _, _ in BAD_PARAMETERS]
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from sbobench.core import SearchSpace, VariableSpec, make_rng, sample_uniform
-from sbobench.problems import make_problem
+from sbobench.problems import available_problems, make_problem
 from sbobench.surrogates import FitError, fit_least_squares, mae
 from sbobench.surrogates import least_squares
 from sbobench.surrogates.encoding import encode_points, encoded_bounds
@@ -109,6 +109,31 @@ class TestPiecewiseLinear:
             lower, upper = encoded_bounds(space)
             kink = -b / W[:, 0]
             assert np.all((kink >= lower[0]) & (kink <= upper[0]))
+
+
+def _uniform_hinge_basis(space, n_basis, rng):
+    """The hinge draw with its anchors taken by ``rng.uniform`` over the box."""
+    lower, upper = encoded_bounds(space)
+    W = rng.integers(-1, 2, size=(n_basis, space.dimension)).astype(float)
+    while (zero := ~W.any(axis=1)).any():
+        W[zero] = rng.integers(-1, 2, size=(int(zero.sum()), space.dimension))
+    W /= np.linalg.norm(W, axis=1, keepdims=True)
+    anchor = rng.uniform(lower, upper, size=(n_basis, space.dimension))
+    return W, -np.einsum("kj,kj->k", W, anchor)
+
+
+@pytest.mark.parametrize("problem", available_problems())
+def test_hinge_anchors_draw_as_uniform_does(problem):
+    """Same stream, same bits as ``rng.uniform(lower, upper, size)`` on
+    every built-in problem's encoded box."""
+    space = make_problem(problem).space
+    for seed in (0, 1, 17, 2024):
+        for n_basis in (512, 1000):
+            rng, reference = make_rng(seed), make_rng(seed)
+            W, b = least_squares._draw_hinge_basis(space, n_basis, rng)
+            W_ref, b_ref = _uniform_hinge_basis(space, n_basis, reference)
+            assert W.tobytes() == W_ref.tobytes() and b.tobytes() == b_ref.tobytes()
+            assert rng.random() == reference.random()
 
 
 def _line_data_2d(space, n=20, seed=1):

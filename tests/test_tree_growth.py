@@ -1,14 +1,16 @@
 """Batched level-wise tree growth against a one-node-at-a-time heap grower.
 
 ``trees.grow`` scans every pending node of a level (and, for a forest,
-of every tree) in padded batches, then numbers the nodes best-first.
-The reference below grows one node at a time from a heap, scanning each
-node on its own rows with the two-dimensional split scan.  Both must give
-the same node arrays, byte for byte and dtype for dtype, for the forest,
-boosting and rules trees; and routing all of a forest's trees in one pass
-must give exactly the per-tree predictions.  Every comparison runs twice,
-once with every scan batch sorting the features' integer ranks and once
-with every batch sorting their float values.
+of every tree) in padded batches into one level-order node table, and
+``trees.number_trees`` numbers single, boosted and rules trees
+best-first.  The reference below grows one node at a time from a heap,
+scanning each node on its own rows with the two-dimensional split scan.
+Both must give the same node arrays, byte for byte and dtype for dtype,
+for single, boosted and rules trees; a forest's table must hold each
+reference tree under its root, node for node, and routing all of its
+trees in one pass must give exactly the per-tree predictions.  Every
+comparison runs twice, once with every scan batch sorting the features'
+integer ranks and once with every batch sorting their float values.
 """
 
 import functools
@@ -114,13 +116,15 @@ def _ref_tree(X, y, min_leaf=1, max_depth=None):
     return RegressionTree(*_ref_grow(X, y, (y, y * y), _ref_sse_cost, mean, min_leaf, max_depth))
 
 
-def _ref_forest(X, y, n_trees, min_leaf, seed):
+def _forest_roots(n, n_trees, seed):
+    """``fit_forest``'s rows for each tree: all n, then bootstrap draws."""
     rng = make_rng(seed)
-    trees = [_ref_tree(X, y, min_leaf)]
-    for _ in range(n_trees - 1):
-        rows = rng.integers(0, X.shape[0], size=X.shape[0])
-        trees.append(_ref_tree(X[rows], y[rows], min_leaf))
-    return trees
+    return [np.arange(n)] + [rng.integers(0, n, size=n) for _ in range(n_trees - 1)]
+
+
+def _ref_forest(X, y, n_trees, min_leaf, seed):
+    return [_ref_tree(X[rows], y[rows], min_leaf)
+            for rows in _forest_roots(X.shape[0], n_trees, seed)]
 
 
 def _ref_boosted(X, y, n_rounds, learning_rate, max_depth):
@@ -149,6 +153,37 @@ def assert_same_nodes(tree, reference):
         assert got.dtype == want.dtype, name
         assert got.shape == want.shape, name
         assert got.tobytes() == want.tobytes(), name
+
+
+def assert_same_forest(model, reference, Q):
+    """The forest's node table holds each reference tree under its root,
+    node for node, and predicts exactly as the reference trees do."""
+    table = model.nodes
+    for name, dtype in RegressionTree._DTYPES:
+        assert getattr(table, name).dtype == np.dtype(dtype), name
+    assert model.n_trees == len(reference)
+    assert table.n_nodes == sum(ref.n_nodes for ref in reference)
+    for root, ref in enumerate(reference):
+        walk = [(root, 0)]  # preorder over (table node, reference node)
+        visited = 0
+        while walk:
+            node, at = walk.pop()
+            visited += 1
+            assert table.feature[node] == ref.feature[at]
+            assert table.threshold[node].tobytes() == ref.threshold[at].tobytes()
+            assert table.value[node].tobytes() == ref.value[at].tobytes()
+            if ref.feature[at] == LEAF:
+                assert table.left[node] == table.right[node] == LEAF
+            else:
+                walk += [(table.right[node], ref.right[at]), (table.left[node], ref.left[at])]
+        assert visited == ref.n_nodes
+    per_tree = np.stack([ref.predict(Q) for ref in reference], axis=0)
+    matrix = model._tree_matrix(Q)
+    assert matrix.dtype == per_tree.dtype and matrix.tobytes() == per_tree.tobytes()
+    mean, var = model.predict_variance_encoded(Q)
+    assert mean.tobytes() == per_tree.mean(axis=0).tobytes()
+    assert var.tobytes() == per_tree.var(axis=0).tobytes()
+    assert model.predict_encoded(Q).tobytes() == mean.tobytes()
 
 
 KINDS = ("continuous", "discrete", "identical")
@@ -215,10 +250,8 @@ def test_forest_matches_tree_by_tree_growth(kind, d):
             continue
         n_trees = int(rng.integers(1, 25))
         model = fit_forest(_space(d), X, y, n_trees=n_trees, min_leaf=min_leaf, seed=case)
-        reference = _ref_forest(X, y, n_trees, min_leaf, case)
-        assert len(model.trees) == n_trees
-        for tree, ref in zip(model.trees, reference):
-            assert_same_nodes(tree, ref)
+        Q = np.vstack((X, make_rng(case).uniform(-1.5, 1.5, size=(40, d))))
+        assert_same_forest(model, _ref_forest(X, y, n_trees, min_leaf, case), Q)
 
 
 @on_both_sort_paths
@@ -227,8 +260,8 @@ def test_forest_bootstrap_duplicates_and_constant_targets():
     X = np.repeat(rng.uniform(size=(6, 3)), 4, axis=0)  # every row four times
     for y in (np.repeat(rng.normal(size=6), 4), np.full(24, -0.25)):
         model = fit_forest(_space(3), X, y, n_trees=24, min_leaf=1, seed=3)
-        for tree, ref in zip(model.trees, _ref_forest(X, y, 24, 1, 3)):
-            assert_same_nodes(tree, ref)
+        Q = np.vstack((X, make_rng(3).uniform(-0.2, 1.2, size=(40, 3))))
+        assert_same_forest(model, _ref_forest(X, y, 24, 1, 3), Q)
 
 
 @on_both_sort_paths
@@ -426,10 +459,11 @@ def test_bad_inputs_raise_value_errors():
 def test_stacked_routing_equals_per_tree_prediction():
     rng = make_rng(9)
     X, y = rng.uniform(size=(60, 4)), rng.normal(size=60)
+    grown = build_regression_trees(X, y, _forest_roots(60, 24, 2))
     model = fit_forest(_space(4), X, y, n_trees=24, seed=2)
     Q = rng.uniform(-0.2, 1.2, size=(512, 4))
-    per_tree = np.stack([t.predict(Q) for t in model.trees], axis=0)
-    stacked = TreeStack(model.trees).predict(Q)
+    per_tree = np.stack([t.predict(Q) for t in grown], axis=0)
+    stacked = TreeStack(grown).predict(Q)
     assert stacked.dtype == per_tree.dtype and stacked.tobytes() == per_tree.tobytes()
     mean, var = model.predict_variance_encoded(Q)
     assert mean.tobytes() == per_tree.mean(axis=0).tobytes()
@@ -441,7 +475,7 @@ def test_stacked_routing_equals_per_tree_prediction():
 def test_stacked_routing_keeps_bare_leaf_trees():
     rng = make_rng(10)
     X, y = rng.uniform(size=(40, 3)), rng.normal(size=40)
-    forest = fit_forest(_space(3), X, y, n_trees=6, seed=4).trees
+    forest = build_regression_trees(X, y, _forest_roots(40, 6, 4))
     bare = [RegressionTree([LEAF], [0.0], [LEAF], [LEAF], [v]) for v in (1.5, -2.0, 0.25)]
     stack_trees = [bare[0], *forest[:3], bare[1], *forest[3:], bare[2]]
     stack = TreeStack(stack_trees)
