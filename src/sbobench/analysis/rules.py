@@ -1,17 +1,20 @@
 """Decision rules extracted from replay grids via a small CART classifier.
 
 The classifier is the CART core of ``surrogates.trees`` with a Gini
-criterion, grown best-first (largest weighted impurity decrease first)
-under hard caps on leaf count and depth.  Zero-gain splits of impure
-nodes are allowed, so XOR-style label patterns can still be separated.
+criterion.  ``grow`` builds its level-order table under the depth cap;
+``_best_first`` then renumbers the nodes in the order a best-first
+grower (largest weighted impurity decrease first) would create them and
+stops at the leaf cap.  Zero-gain splits of impure nodes are allowed,
+so XOR-style label patterns can still be separated.
 """
 
+import heapq
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..core import make_rng
-from ..surrogates.trees import LEAF, NodeArrays, grow, number_trees
+from ..surrogates.trees import LEAF, NodeArrays, grow
 from .replay import ReplayGrid
 
 FEATURE_NAMES = (
@@ -115,15 +118,46 @@ def _labelled(features, labels):
     return X, y
 
 
+def _best_first(feature, threshold, left, right, values, score, max_leaves):
+    """One tree's level-order table renumbered best-first, cut at ``max_leaves`` leaves.
+
+    Replays a one-node-at-a-time heap grower: it pops the split of lowest
+    (cost, position), positions being given out as nodes are created, so
+    equal costs pop first-created first, and creates the popped node's
+    children right after.  The q-th split's children land at positions
+    2q + 1 and 2q + 2; a node the cap leaves unsplit becomes a leaf.
+    """
+    found, cost, child = (feature != LEAF).tolist(), score.tolist(), left.tolist()
+    order, splits = [0], []
+    heap = [(cost[0], 0)] if found[0] else []
+    while heap and len(splits) + 1 < max_leaves:
+        at = heapq.heappop(heap)[1]
+        splits.append(at)
+        for kid in (child[order[at]], child[order[at]] + 1):
+            if found[kid]:
+                heapq.heappush(heap, (cost[kid], len(order)))
+            order.append(kid)
+    order, splits = np.array(order, dtype=int), np.array(splits, dtype=int)
+    new_left = np.full(order.size, LEAF)
+    new_left[splits] = 1 + 2 * np.arange(splits.size)
+    new_feature = np.full(order.size, LEAF)
+    new_feature[splits] = feature[order[splits]]
+    new_threshold = np.zeros(order.size)
+    new_threshold[splits] = threshold[order[splits]]
+    return (new_feature, new_threshold, new_left,
+            np.where(new_left == LEAF, LEAF, new_left + 1), values[order])
+
+
 def grow_tree(X, y, max_leaves: int = MAX_LEAVES, max_depth: int = MAX_DEPTH) -> RulesTree:
     """Best-first CART classification tree with leaf and depth caps."""
     X, y = _labelled(X, y)
     labels, y_idx = np.unique(y, return_inverse=True)
     one_hot = [y_idx == i for i in range(labels.size)]
+    # A node at depth max_leaves - 1 is created with max_leaves leaves already.
+    depth = max_leaves - 1 if max_depth is None else min(max_depth, max_leaves - 1)
     table = grow(X, y_idx, one_hot, gini_cost, _majority, [np.arange(y_idx.size)],
-                 max_depth=max_depth, max_leaves=max_leaves)
-    (nodes,) = number_trees(1, *table, max_leaves)
-    return RulesTree(*nodes, labels=tuple(labels.tolist()))
+                 max_depth=depth)
+    return RulesTree(*_best_first(*table, max_leaves), labels=tuple(labels.tolist()))
 
 
 def rule_dataset(grids: dict, traits: dict):

@@ -37,6 +37,14 @@ def at_least(name: str, value, minimum: int = 1) -> int:
     return value
 
 
+def scale(name: str, value) -> float:
+    """``value`` as a float, refused if negative or not finite: a solver's scale check."""
+    value = float(value)
+    if not (math.isfinite(value) and value >= 0.0):
+        raise ValueError(f"{name} must be a finite number at least 0")
+    return value
+
+
 class Solver:
     """Base class holding loop state shared by every solver kind."""
 

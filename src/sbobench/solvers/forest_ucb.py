@@ -20,7 +20,7 @@ import numpy as np
 from ..surrogates.encoding import sample_encoded
 from ..surrogates.forest import fit_forest
 from .acquisition import DEFAULT_BETA, ucb_score
-from .base import Solver, at_least
+from .base import Solver, at_least, scale
 
 
 class ForestUcbSolver(Solver):
@@ -30,7 +30,7 @@ class ForestUcbSolver(Solver):
                  n_trees=24, uniform_candidates=256, mutations=256,
                  elites=4):
         super().__init__(space, R, seed)
-        self.beta = float(beta)
+        self.beta = scale("beta", beta)
         self.n_trees = at_least("n_trees", n_trees)
         self.uniform_candidates = at_least("uniform_candidates", uniform_candidates, 0)
         self.mutations = at_least("mutations", mutations, 0)

@@ -21,7 +21,7 @@ import numpy as np
 from ..core.rng import derive_seed
 from ..surrogates.gp import fit_gp
 from .acquisition import DEFAULT_BETA, ucb_score
-from .base import Solver, at_least
+from .base import Solver, at_least, scale
 
 
 class GpUcbSolver(Solver):
@@ -31,13 +31,13 @@ class GpUcbSolver(Solver):
                  candidates=512, refine=16, refine_steps=50,
                  hyper_interval=20, multistarts=4, steps=100):
         super().__init__(space, R, seed)
-        self.beta = float(beta)
+        self.beta = scale("beta", beta)
         self.n_candidates = at_least("candidates", candidates)
-        self.n_refine = int(refine)
-        self.refine_steps = int(refine_steps)
+        self.n_refine = at_least("refine", refine, 0)
+        self.refine_steps = at_least("refine_steps", refine_steps, 0)
         self.hyper_interval = at_least("hyper_interval", hyper_interval)
-        self.multistarts = int(multistarts)
-        self.steps = int(steps)
+        self.multistarts = at_least("multistarts", multistarts)
+        self.steps = at_least("steps", steps, 0)
         self._params = None
         self._offset = 0.0
 

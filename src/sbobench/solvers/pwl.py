@@ -14,7 +14,7 @@ down; continuous ones add Gaussian noise with a tenth of the range.
 import numpy as np
 
 from ..surrogates.least_squares import fit_least_squares
-from .base import Solver, at_least
+from .base import Solver, at_least, scale
 
 
 class PwlSolver(Solver):
@@ -27,8 +27,8 @@ class PwlSolver(Solver):
             continuous = all(v.kind == "continuous" for v in space.variables)
             n_basis = 1000 if continuous else 512
         self.n_basis = at_least("n_basis", n_basis)
-        self.ridge = float(ridge)
-        self.sweeps = int(sweeps)
+        self.ridge = scale("ridge", ridge)
+        self.sweeps = at_least("sweeps", sweeps, 0)
         self.grid = int(grid)
         # each coordinate's grid, plus a last slot for its current value
         self._columns = [np.append(self._coordinate_grid(j), 0.0)

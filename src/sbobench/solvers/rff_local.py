@@ -23,7 +23,7 @@ Each descent is local:
 import numpy as np
 
 from ..surrogates.least_squares import fit_least_squares
-from .base import Solver, at_least
+from .base import Solver, at_least, scale
 
 STOP_FRACTION = 1e-3
 
@@ -36,11 +36,11 @@ class RffLocalSolver(Solver):
                  jitter_scale=0.1, explore_scale=0.02):
         super().__init__(space, R, seed)
         self.n_basis = at_least("n_basis", n_basis)
-        self.ridge = float(ridge)
+        self.ridge = scale("ridge", ridge)
         self.starts = at_least("starts", starts)
         self.descent_steps = at_least("descent_steps", descent_steps, 0)
-        self.jitter_scale = float(jitter_scale)
-        self.explore_scale = float(explore_scale)
+        self.jitter_scale = scale("jitter_scale", jitter_scale)
+        self.explore_scale = scale("explore_scale", explore_scale)
 
     def _refit(self) -> None:
         self.model = fit_least_squares(

@@ -1,10 +1,15 @@
-"""Stagewise gradient-boosted regression trees (squared-error loss)."""
+"""Stagewise gradient-boosted regression trees (squared-error loss).
+
+Each round's tree keeps the grower's level-order node table
+(``trees.grow``); a prediction adds the trees' scaled outputs one tree
+at a time, in round order.
+"""
 
 import numpy as np
 
 from sbobench.core.space import SearchSpace
 from sbobench.surrogates.base import SurrogateModel
-from sbobench.surrogates.trees import TreeStack, build_regression_tree
+from sbobench.surrogates.trees import build_regression_tree
 
 
 class BoostedTreesModel(SurrogateModel):
@@ -14,15 +19,14 @@ class BoostedTreesModel(SurrogateModel):
         self.base_value = float(base_value)
         self.trees = list(trees)
         self.learning_rate = float(learning_rate)
-        self._stack = TreeStack(self.trees)
         # Mean squared training loss after each round (round 0 = mean only).
         self.train_losses = list(train_losses)
 
     def predict_encoded(self, X: np.ndarray) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=float))
         out = np.full(X.shape[0], self.base_value)
-        for contribution in self._stack.predict(X):  # in tree order
-            out += self.learning_rate * contribution
+        for tree in self.trees:
+            out += self.learning_rate * tree.predict(X)
         return out
 
 

@@ -55,6 +55,6 @@ def fit_forest(
         raise ValueError("not enough data for the requested min_leaf")
     rng = make_rng(seed)
     n = len(X)
-    roots = [np.arange(n)] + [rng.integers(0, n, size=n) for _ in range(n_trees - 1)]
+    roots = [np.arange(n), *rng.integers(0, n, size=(n_trees - 1, n))]
     *table, _ = grow_regression(X, y, roots, min_leaf=min_leaf)
     return RandomForestModel(RegressionTree(*table), n_trees)

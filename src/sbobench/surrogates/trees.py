@@ -7,18 +7,15 @@ pure function of its inputs.
 
 Trees grow one level at a time: every pending node of every tree being
 grown is scanned in a few batched passes.  ``grow`` returns one
-level-order node table over all the trees, which the forest routes as
-it is; ``number_trees`` numbers single, boosted and rules trees in
-best-first order (lowest split cost first), the order in which a
-one-node-at-a-time heap grower would have created them, and applies the
-rules tree's leaf cap.  Each node keeps its rows in row order, and each
-scan batch sorts its nodes' values of every feature stably.  A grow call
-ranks each feature once; batches at least ``_RADIX_WIDTH`` rows wide
-sort those small integer ranks, which numpy radix-sorts, in the order
-the values would sort.
+level-order node table over all the trees, and every regression tree,
+single, boosted or in a forest, keeps that table as it is; only the
+rules tree renumbers its nodes best-first, to apply its leaf cap.  Each
+node keeps its rows in row order, and each scan batch sorts its nodes'
+values of every feature stably.  A grow call ranks each feature once;
+batches at least ``_RADIX_WIDTH`` rows wide sort those small integer
+ranks, which numpy radix-sorts, in the order the values would sort.
 """
 
-import heapq
 from dataclasses import dataclass
 
 import numpy as np
@@ -108,30 +105,6 @@ class RegressionTree(NodeArrays):
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         return self.value[self.apply(X)]
-
-
-class TreeStack:
-    """Several regression trees routed together, one (trees, rows) pass per call."""
-
-    def __init__(self, trees):
-        sizes = np.array([t.n_nodes for t in trees], dtype=int)
-        offsets = np.cumsum(sizes) - sizes
-        shift = np.repeat(offsets, sizes)  # each node's tree offset
-
-        def joined(name):
-            return np.concatenate([getattr(t, name) for t in trees]) if trees else np.zeros(0, int)
-
-        def shifted(name):  # child indices move with their tree; LEAF stays LEAF
-            children = joined(name)
-            return np.where(children == LEAF, LEAF, children + shift)
-
-        self.nodes = RegressionTree(joined("feature"), joined("threshold"),
-                                    shifted("left"), shifted("right"), joined("value"))
-        self.roots = offsets
-
-    def predict(self, X) -> np.ndarray:
-        """Each tree's prediction at each row of X, as a (trees, rows) matrix."""
-        return self.nodes.value[self.nodes.route(X, self.roots)]
 
 
 def sse_cost(left, total, n_left, n):
@@ -243,21 +216,6 @@ def _sorted_scan(XT, keys, samples, stats, sizes, cost, min_leaf):
     return valid, score, f, threshold
 
 
-def best_split(X, stats, cost, min_leaf=1):
-    """Lowest-cost axis split of the rows of X as (cost, feature, threshold), or None.
-
-    The one-node case of the batched scan.
-    """
-    n = X.shape[0]
-    if n < 2:
-        return None
-    XT = np.asarray(X, dtype=float).T
-    found, score, f, threshold = _sorted_scan(
-        XT, _ranks(XT), np.arange(n)[None], [np.asarray(s) for s in stats], np.array([n]),
-        cost, min_leaf)
-    return (float(score[0]), int(f[0]), float(threshold[0])) if found[0] else None
-
-
 def _batches(sizes, d):
     """Groups of nodes to scan together, as index arrays into ``sizes``.
 
@@ -307,59 +265,7 @@ def _partition(XT, samples, sizes, found, feature, threshold):
     return samples[child.argsort(kind="stable")], np.bincount(child, minlength=2 * sizes.size)
 
 
-def _best_first(root, found, score, child, max_leaves, order, splits):
-    """Replay best-first growth from ``root``, appending to ``order`` and ``splits``.
-
-    Node k's children are ``child[k]`` and ``child[k] + 1``.  Each node
-    created is appended to ``order``, and the position in ``order`` of
-    each node that splits to ``splits``, in the order the splits happen;
-    its children are created right after.  The heap pops the lowest
-    (cost, position), positions being given out as nodes are created, so
-    equal costs pop first-created first.
-    """
-    heap = [(score[root], len(order))] if found[root] else []
-    order.append(root)
-    n_splits = 0
-    while heap and (max_leaves is None or n_splits + 1 < max_leaves):
-        at = heapq.heappop(heap)[1]
-        splits.append(at)
-        n_splits += 1
-        first = child[order[at]]
-        for kid in (first, first + 1):
-            if found[kid]:
-                heapq.heappush(heap, (score[kid], len(order)))
-            order.append(kid)
-
-
-def number_trees(n_trees, feature, threshold, left, right, values, score, max_leaves=None):
-    """Each tree's node arrays and values, its nodes numbered best-first.
-
-    Takes ``grow``'s level-order table and split costs, whose first
-    ``n_trees`` nodes are the roots, and replays best-first growth from
-    each root up to ``max_leaves`` leaves.
-    """
-    order, splits, bounds, split_bounds = [], [], [0], [0]
-    found_list, score_list, child_list = (feature != LEAF).tolist(), score.tolist(), left.tolist()
-    for root in range(n_trees):
-        _best_first(root, found_list, score_list, child_list, max_leaves, order, splits)
-        bounds.append(len(order))
-        split_bounds.append(len(splits))
-    order, splits = np.array(order, dtype=int), np.array(splits, dtype=int)
-    # The q-th split of a tree creates its children at positions 2q + 1 and 2q + 2.
-    split_bounds = np.array(split_bounds)
-    q = np.arange(splits.size) - np.repeat(split_bounds[:-1], np.diff(split_bounds))
-    new_left = np.full(order.size, LEAF)
-    new_left[splits] = 1 + 2 * q
-    new_right = np.where(new_left == LEAF, LEAF, new_left + 1)
-    new_feature = np.full(order.size, LEAF)
-    new_feature[splits] = feature[order[splits]]
-    new_threshold = np.zeros(order.size)
-    new_threshold[splits] = threshold[order[splits]]
-    arrays = (new_feature, new_threshold, new_left, new_right, values[order])
-    return [tuple(a[lo:hi] for a in arrays) for lo, hi in zip(bounds[:-1], bounds[1:])]
-
-
-def grow(X, y, stats, cost, value, roots, min_leaf=1, max_depth=None, max_leaves=None):
+def grow(X, y, stats, cost, value, roots, min_leaf=1, max_depth=None):
     """Grow one tree per row set in ``roots``; return their level-order node table.
 
     Tree t is grown on rows ``roots[t]`` of X (repeats allowed, order
@@ -376,13 +282,8 @@ def grow(X, y, stats, cost, value, roots, min_leaf=1, max_depth=None, max_leaves
     tree t's root; the j-th node that splits has its children at
     ``len(roots) + 2j`` and ``len(roots) + 2j + 1``, and a leaf has
     threshold 0 and infinite cost.  ``route(X, range(len(roots)))`` on
-    it routes every tree at once.  ``max_leaves`` only caps the depth
-    here: ``number_trees`` numbers each tree best-first, lowest split
-    cost first, and stops it at ``max_leaves`` leaves.
+    it routes every tree at once.
     """
-    if max_leaves is not None:
-        # A node at depth max_leaves - 1 is created with max_leaves leaves already.
-        max_depth = max_leaves - 1 if max_depth is None else min(max_depth, max_leaves - 1)
     X = np.asarray(X, dtype=float)
     y = np.asarray(y)
     if np.isnan(X).any():
@@ -438,15 +339,10 @@ def grow_regression(X, y, roots, min_leaf=1, max_depth=None):
     return grow(X, y, (y, y * y), sse_cost, _means, roots, min_leaf, max_depth)
 
 
-def build_regression_trees(X: np.ndarray, y: np.ndarray, roots, min_leaf: int = 1,
-                           max_depth: int | None = None) -> list[RegressionTree]:
-    """Squared-error trees grown together, tree t on rows ``roots[t]`` of X and y."""
-    table = grow_regression(X, y, roots, min_leaf, max_depth)
-    return [RegressionTree(*nodes) for nodes in number_trees(len(roots), *table)]
-
-
 def build_regression_tree(X: np.ndarray, y: np.ndarray, min_leaf: int = 1,
                           max_depth: int | None = None) -> RegressionTree:
-    """Grow a deterministic squared-error tree to purity or the caps."""
+    """Grow a deterministic squared-error tree to purity or the caps, as its
+    level-order node table."""
     # A y that does not match X's rows fails grow_regression's checks.
-    return build_regression_trees(X, y, [np.arange(np.size(y))], min_leaf, max_depth)[0]
+    *table, _ = grow_regression(X, y, [np.arange(np.size(y))], min_leaf, max_depth)
+    return RegressionTree(*table)

@@ -2,8 +2,8 @@
 
 The runner promises byte-identical virtual-time logs on rerun.  This
 test reruns six configurations, runs README's analysis pipeline over
-the ``criterion-10`` logs (curves, replay grid, rules tree and one
-offline fit), and compares each file written with the digest in
+the ``criterion-10`` logs (curves, replay grid, rules tree and two
+offline fits), and compares each file written with the digest in
 ``golden_manifest.json``, naming every differing, missing or extra
 file.  The manifest also holds the stamp it was made under (numpy and
 scipy versions, threads per bundled OpenBLAS pool): the byte-identity
@@ -77,7 +77,7 @@ def stamp() -> dict:
 
 
 def analyse(logs_dir: Path, out: Path) -> None:
-    """README's analysis pipeline over the logs in ``logs_dir``; its four reports under ``out``."""
+    """README's analysis pipeline over the logs in ``logs_dir``; its five reports under ``out``."""
     pairs = load_run_logs(logs_dir)
     logs = [log for log, _ in pairs]
     grid = replay(logs)
@@ -87,6 +87,7 @@ def analyse(logs_dir: Path, out: Path) -> None:
     emit_report(fit_rules_tree(*rule_dataset({problem: grid}, {problem: (False, False)})),
                 out / "rules.json")
     emit_report(offline_eval(pairs, "forest", train_len=20, seed=3), out / "offline_forest.json")
+    emit_report(offline_eval(pairs, "boosted", train_len=20), out / "offline_boosted.json")
 
 
 def digests(root: Path) -> dict:

@@ -322,6 +322,22 @@ BAD_PARAMETERS = (
     (("sphere", "rff-local", "rff-local.descent_steps=-1"),
      dict(problem="sphere", solvers=("rff-local",), overrides={"rff-local": {"descent_steps": -1}}),
      "descent_steps must be at least 0"),
+    *(((("sphere", kind, f"{kind}.{name}={value}"),
+        dict(problem="sphere", solvers=(kind,), overrides={kind: {name: value}}),
+        f"{name} must be {rule}"))
+      for kind, name, value, rule in (
+          ("gp-ucb", "beta", float("nan"), "a finite number at least 0"),
+          ("gp-ucb", "beta", -1, "a finite number at least 0"),
+          ("forest-ucb", "beta", float("inf"), "a finite number at least 0"),
+          ("pwl-low", "ridge", -1, "a finite number at least 0"),
+          ("rff-local", "ridge", float("nan"), "a finite number at least 0"),
+          ("rff-local", "jitter_scale", -1, "a finite number at least 0"),
+          ("rff-local", "explore_scale", float("nan"), "a finite number at least 0"),
+          ("gp-ucb", "refine", -3, "at least 0"),
+          ("gp-ucb", "refine_steps", -1, "at least 0"),
+          ("gp-ucb", "steps", -1, "at least 0"),
+          ("pwl-low", "sweeps", -1, "at least 0"),
+          ("gp-ucb", "multistarts", 0, "at least 1"))),
 )
 BAD_IDS = [tokens[-1] for tokens, _, _ in BAD_PARAMETERS]
 

@@ -1,8 +1,8 @@
 """The shared CART split scan against loop references, compared for equality.
 
-``trees.best_split`` picks a split with one arg-min over every
-(feature, position) pair, for the squared-error and the Gini criterion
-alike.  The loop versions below scan one feature (and, for the Gini
+The grower's batched scan, ``trees._sorted_scan``, picks a split with
+one arg-min over every (feature, position) pair, for the squared-error
+and the Gini criterion alike; ``best_split`` below runs it on one node.  The loop versions below scan one feature (and, for the Gini
 scan, one threshold) at a time with the same arithmetic, so the results
 must agree exactly, including which of several equal splits wins.
 """
@@ -13,6 +13,18 @@ import pytest
 from sbobench.analysis import rules
 from sbobench.core import make_rng
 from sbobench.surrogates import trees
+
+
+def best_split(X, stats, cost, min_leaf=1):
+    """Lowest-cost axis split of the rows of X as (cost, feature, threshold), or None."""
+    n = X.shape[0]
+    if n < 2:
+        return None
+    XT = np.asarray(X, dtype=float).T
+    found, score, f, threshold = trees._sorted_scan(
+        XT, trees._ranks(XT), np.arange(n)[None], [np.asarray(s) for s in stats], np.array([n]),
+        cost, min_leaf)
+    return (float(score[0]), int(f[0]), float(threshold[0])) if found[0] else None
 
 
 def _sse_split_loop(X, y, min_leaf):
@@ -98,7 +110,7 @@ def test_sse_split_matches_loop(kind):
         X = _features(rng, n, d, kind)
         y = rng.integers(0, 3, size=n).astype(float) if rng.uniform() < 0.3 else rng.normal(size=n)
         for min_leaf in (1, 2, 3):
-            split = trees.best_split(X, (y, y * y), trees.sse_cost, min_leaf)
+            split = best_split(X, (y, y * y), trees.sse_cost, min_leaf)
             assert split == _sse_split_loop(X, y, min_leaf)
 
 
@@ -112,7 +124,7 @@ def test_gini_split_matches_loop(kind):
         y_idx = rng.integers(0, n_labels, size=n)
         indices = np.sort(rng.permutation(n)[: int(rng.integers(1, n + 1))])
         one_hot = [y_idx[indices] == label for label in range(n_labels)]
-        split = trees.best_split(X[indices], one_hot, rules.gini_cost)
+        split = best_split(X[indices], one_hot, rules.gini_cost)
         reference = _gini_split_loop(X, y_idx, indices, n_labels)
         if reference is None:
             assert split is None

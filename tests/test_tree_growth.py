@@ -1,14 +1,16 @@
 """Batched level-wise tree growth against a one-node-at-a-time heap grower.
 
 ``trees.grow`` scans every pending node of a level (and, for a forest,
-of every tree) in padded batches into one level-order node table, and
-``trees.number_trees`` numbers single, boosted and rules trees
-best-first.  The reference below grows one node at a time from a heap,
-scanning each node on its own rows with the two-dimensional split scan.
-Both must give the same node arrays, byte for byte and dtype for dtype,
-for single, boosted and rules trees; a forest's table must hold each
-reference tree under its root, node for node, and routing all of its
-trees in one pass must give exactly the per-tree predictions.  Every
+of every tree) in padded batches into one level-order node table, which
+single, boosted and forest trees keep as it is; ``analysis.rules``
+renumbers its one tree best-first.  The reference below grows one node
+at a time from a heap, scanning each node on its own rows with the
+two-dimensional split scan, and numbers nodes as it creates them.  A
+rules tree must equal it byte for byte and dtype for dtype.  A
+regression table must hold each reference tree under its root, node for
+node in a preorder walk, thresholds and values bit for bit; routing all
+of a forest's trees in one pass must give exactly the per-tree
+predictions.  Every
 comparison runs twice, once with every scan batch sorting the features'
 integer ranks and once with every batch sorting their float values.
 """
@@ -30,8 +32,8 @@ from sbobench.problems import EspProblem
 from sbobench.surrogates import BoostedTreesModel, fit_boosted, fit_forest
 from sbobench.surrogates import trees
 from sbobench.surrogates.encoding import encode_points
-from sbobench.surrogates.trees import (LEAF, RegressionTree, TreeStack, build_regression_tree,
-                                       build_regression_trees)
+from sbobench.surrogates.trees import LEAF, RegressionTree, build_regression_tree
+from test_split_scans import best_split
 
 
 def _ref_sse_cost(sums, n_left, n):
@@ -155,28 +157,33 @@ def assert_same_nodes(tree, reference):
         assert got.tobytes() == want.tobytes(), name
 
 
+def assert_same_subtree(table, root, ref):
+    """The regression table holds the reference tree under ``root``, node for node."""
+    for name, dtype in RegressionTree._DTYPES:
+        assert getattr(table, name).dtype == np.dtype(dtype), name
+    walk = [(root, 0)]  # preorder over (table node, reference node)
+    visited = 0
+    while walk:
+        node, at = walk.pop()
+        visited += 1
+        assert table.feature[node] == ref.feature[at]
+        assert table.threshold[node].tobytes() == ref.threshold[at].tobytes()
+        assert table.value[node].tobytes() == ref.value[at].tobytes()
+        if ref.feature[at] == LEAF:
+            assert table.left[node] == table.right[node] == LEAF
+        else:
+            walk += [(table.right[node], ref.right[at]), (table.left[node], ref.left[at])]
+    assert visited == ref.n_nodes
+
+
 def assert_same_forest(model, reference, Q):
     """The forest's node table holds each reference tree under its root,
     node for node, and predicts exactly as the reference trees do."""
     table = model.nodes
-    for name, dtype in RegressionTree._DTYPES:
-        assert getattr(table, name).dtype == np.dtype(dtype), name
     assert model.n_trees == len(reference)
     assert table.n_nodes == sum(ref.n_nodes for ref in reference)
     for root, ref in enumerate(reference):
-        walk = [(root, 0)]  # preorder over (table node, reference node)
-        visited = 0
-        while walk:
-            node, at = walk.pop()
-            visited += 1
-            assert table.feature[node] == ref.feature[at]
-            assert table.threshold[node].tobytes() == ref.threshold[at].tobytes()
-            assert table.value[node].tobytes() == ref.value[at].tobytes()
-            if ref.feature[at] == LEAF:
-                assert table.left[node] == table.right[node] == LEAF
-            else:
-                walk += [(table.right[node], ref.right[at]), (table.left[node], ref.left[at])]
-        assert visited == ref.n_nodes
+        assert_same_subtree(table, root, ref)
     per_tree = np.stack([ref.predict(Q) for ref in reference], axis=0)
     matrix = model._tree_matrix(Q)
     assert matrix.dtype == per_tree.dtype and matrix.tobytes() == per_tree.tobytes()
@@ -233,8 +240,10 @@ def test_regression_tree_matches_heap_grower(kind, d):
         X, y = _features(rng, n, d, kind), _targets(rng, n)
         min_leaf = int(rng.integers(1, 4))
         max_depth = None if rng.uniform() < 0.6 else int(rng.integers(0, 6))
-        assert_same_nodes(build_regression_tree(X, y, min_leaf, max_depth),
-                          _ref_tree(X, y, min_leaf, max_depth))
+        tree, ref = build_regression_tree(X, y, min_leaf, max_depth), _ref_tree(X, y, min_leaf,
+                                                                                 max_depth)
+        assert tree.n_nodes == ref.n_nodes
+        assert_same_subtree(tree, 0, ref)
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -271,9 +280,12 @@ def test_trees_grown_together_match_trees_grown_apart():
     roots = [np.arange(40), rng.integers(0, 40, size=40), np.arange(39, -1, -1),
              rng.integers(0, 40, size=7)]
     for min_leaf in (1, 2):
-        together = build_regression_trees(X, y, roots, min_leaf=min_leaf)
-        for tree, rows in zip(together, roots):
-            assert_same_nodes(tree, _ref_tree(X[rows], y[rows], min_leaf))
+        *table, _ = trees.grow_regression(X, y, roots, min_leaf=min_leaf)
+        table = RegressionTree(*table)
+        reference = [_ref_tree(X[rows], y[rows], min_leaf) for rows in roots]
+        assert table.n_nodes == sum(ref.n_nodes for ref in reference)
+        for root, ref in enumerate(reference):
+            assert_same_subtree(table, root, ref)
 
 
 @pytest.mark.parametrize("d", (1, 7, 10))
@@ -288,7 +300,8 @@ def test_boosted_matches_heap_grower(d):
         trees, losses = _ref_boosted(X, y, 8, 0.3, max_depth)
         assert len(model.trees) == len(trees)
         for tree, ref in zip(model.trees, trees):
-            assert_same_nodes(tree, ref)
+            assert tree.n_nodes == ref.n_nodes
+            assert_same_subtree(tree, 0, ref)
         assert model.train_losses == losses
         assert (model.base_value, model.learning_rate) == (float(y.mean()), 0.3)
         want = BoostedTreesModel(float(y.mean()), trees, 0.3, losses)
@@ -349,7 +362,7 @@ def test_forest_fit_memory_stays_capped():
 ])
 def test_threshold_stays_below_the_upper_value(lower, upper):
     X, y = np.array([[lower], [upper]]), np.array([0.0, 1.0])
-    _, _, threshold = trees.best_split(X, (y, y * y), trees.sse_cost)
+    _, _, threshold = best_split(X, (y, y * y), trees.sse_cost)
     assert threshold == lower
     if np.isnan(upper):  # the grower refuses a NaN feature
         with pytest.raises(ValueError, match="NaN"):
@@ -415,24 +428,24 @@ for grow in (lambda: build_regression_tree(X, y), lambda: fit_forest(None, X, y)
 def test_empty_root_is_refused():
     X, y = np.zeros((5, 2)), np.arange(5.0)
     with pytest.raises(ValueError, match="root 1 is empty"):
-        build_regression_trees(X, y, [np.arange(5), []])
+        trees.grow_regression(X, y, [np.arange(5), []])
 
 
 def test_root_past_the_last_row_is_refused():
     X, y = np.zeros((5, 2)), np.arange(5.0)
     with pytest.raises(ValueError, match="root 1 lists row 5"):
-        build_regression_trees(X, y, [[0, 1], [2, 5, 3]])
+        trees.grow_regression(X, y, [[0, 1], [2, 5, 3]])
 
 
 def test_negative_root_index_is_refused():
     X, y = np.arange(10.0).reshape(5, 2), np.arange(5.0)
     with pytest.raises(ValueError, match="root 0 lists row -1"):
-        build_regression_trees(X, y, [[-1, 2]])
+        trees.grow_regression(X, y, [[-1, 2]])
 
 
 def test_no_roots_is_refused():
     with pytest.raises(ValueError, match="need at least one root"):
-        build_regression_trees(np.zeros((5, 2)), np.arange(5.0), [])
+        trees.grow_regression(np.zeros((5, 2)), np.arange(5.0), [])
 
 
 def test_bad_inputs_raise_value_errors():
@@ -454,35 +467,3 @@ def test_bad_inputs_raise_value_errors():
         fit_forest(space, X, y, min_leaf=0)
     with pytest.raises(ValueError, match="X must be"):
         fit_forest(space, X, np.zeros(3))
-
-
-def test_stacked_routing_equals_per_tree_prediction():
-    rng = make_rng(9)
-    X, y = rng.uniform(size=(60, 4)), rng.normal(size=60)
-    grown = build_regression_trees(X, y, _forest_roots(60, 24, 2))
-    model = fit_forest(_space(4), X, y, n_trees=24, seed=2)
-    Q = rng.uniform(-0.2, 1.2, size=(512, 4))
-    per_tree = np.stack([t.predict(Q) for t in grown], axis=0)
-    stacked = TreeStack(grown).predict(Q)
-    assert stacked.dtype == per_tree.dtype and stacked.tobytes() == per_tree.tobytes()
-    mean, var = model.predict_variance_encoded(Q)
-    assert mean.tobytes() == per_tree.mean(axis=0).tobytes()
-    assert var.tobytes() == per_tree.var(axis=0).tobytes()
-    assert model.predict_encoded(Q).tobytes() == mean.tobytes()
-    assert TreeStack([]).predict(Q).shape == (0, 512)
-
-
-def test_stacked_routing_keeps_bare_leaf_trees():
-    rng = make_rng(10)
-    X, y = rng.uniform(size=(40, 3)), rng.normal(size=40)
-    forest = build_regression_trees(X, y, _forest_roots(40, 6, 4))
-    bare = [RegressionTree([LEAF], [0.0], [LEAF], [LEAF], [v]) for v in (1.5, -2.0, 0.25)]
-    stack_trees = [bare[0], *forest[:3], bare[1], *forest[3:], bare[2]]
-    stack = TreeStack(stack_trees)
-    for k in (0, 4, len(stack_trees) - 1):
-        root = stack.roots[k]
-        assert stack.nodes.left[root] == LEAF and stack.nodes.right[root] == LEAF
-    Q = rng.uniform(-0.2, 1.2, size=(64, 3))
-    per_tree = np.stack([t.predict(Q) for t in stack_trees], axis=0)
-    stacked = stack.predict(Q)
-    assert stacked.dtype == per_tree.dtype and stacked.tobytes() == per_tree.tobytes()
